@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: qfib, verify, scan, density, stats, check.  Exit codes:
-0 ok, 1 congruence mismatch or failed revalidation, 2 usage or domain
-error, 3 inapplicable input, 4 I/O error.  Batch-oriented: reports are
-written atomically and are byte-identical for any worker count.
+0 ok, 1 congruence mismatch, disagreeing routes or failed revalidation,
+2 usage or domain error, 3 inapplicable input, 4 I/O error.
+Batch-oriented: reports are written atomically and are byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def _cmd_verify(args, config) -> int:
     print(f"predicted index = {result.predicted_index}")
     print(f"lhs = {result.lhs.value}, rhs = {result.rhs.value} (mod {rd.p})")
     print("match" if result.match else "MISMATCH")
-    return EXIT_OK if result.match else EXIT_MISMATCH
+    if not result.paths_agree:
+        print("error: the evaluation routes disagree", file=sys.stderr)
+    return EXIT_OK if result.match and result.paths_agree else EXIT_MISMATCH
 
 
 def _cmd_scan(args, config) -> int:
@@ -164,7 +167,11 @@ def _cmd_scan(args, config) -> int:
     if csv_path:
         report.write_csv(rep, csv_path)
         print(f"records written to {csv_path}")
-    return EXIT_OK if rep.all_match else EXIT_MISMATCH
+    disagreeing = [r.p for r in rep.records if not r.paths_agree]
+    if disagreeing:
+        print(f"error: the routes disagree at {len(disagreeing)} primes, first p = {disagreeing[0]}",
+              file=sys.stderr)
+    return EXIT_OK if rep.all_match and not disagreeing else EXIT_MISMATCH
 
 
 def _cmd_density(args, config) -> int:

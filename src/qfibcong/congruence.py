@@ -7,7 +7,9 @@ and ord_p(alpha) not divisible by 5,
 
 where I_p is the residual index and (./5) the mod-5 quadratic symbol.
 This module extracts the residual data, evaluates the left side by up to
-four routes, and scans prime ranges in bulk.
+four routes, and scans prime ranges in bulk.  Its chunk runner, which
+sieves a window and classifies its primes across worker processes, also
+serves the occurrence histograms in `stats`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import time
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +34,13 @@ from .modarith import (
     reduce_rational,
     residual_index,
 )
-from .qanalogue import _context
-from .qfib import fib_mod, qfib_mod_andrews, qfib_mod_recurrence_many, qfib_poly
+from .qfib import (
+    RECURRENCE_MAX_P,
+    fib_mod,
+    qfib_mod_andrews,
+    qfib_mod_recurrence_many,
+    qfib_poly,
+)
 
 ALL_PATHS = frozenset({"recurrence", "andrews", "proposition", "poly"})
 DEFAULT_PATHS = frozenset({"recurrence"})
@@ -174,71 +182,68 @@ def verify_theorem(
     alpha: Rational, p: int, paths: frozenset[str] = DEFAULT_PATHS
 ) -> CongruenceRecord | Inapplicable:
     """Check the congruence at one prime; optionally cross-check extra paths."""
+    _check_paths(paths)
     rd = residual_data(alpha, p)
     if not rd.applicable:
         return Inapplicable(rd.reason, rd)
-    return _verify_applicable(rd, paths)
+    return build_records([rd], paths)[0]
 
 
-def _lhs_paths(rd: ResidualData, paths: frozenset[str], recurrence_value: int | None = None) -> dict[str, int]:
-    """Evaluate F_p(alpha) mod p along each requested route."""
+def _check_paths(paths: frozenset[str]) -> None:
     unknown = paths - ALL_PATHS
     if unknown:
         raise DomainError(f"unknown paths: {sorted(unknown)}")
-    p = rd.p
-    values: dict[str, int] = {}
-    if recurrence_value is not None:
-        values["recurrence"] = recurrence_value
-    elif "recurrence" in paths or not paths:
-        values["recurrence"] = qfib_mod_recurrence_many([p], [rd.alpha_res.value])[0]
-    if "andrews" in paths:
-        ctx = _context(p, rd.alpha_res.value)
-        values["andrews"] = qfib_mod_andrews(p, rd.alpha_res, rd.ord, ctx).value
-    if "proposition" in paths:
-        values["proposition"] = qfib_mod_proposition(rd).value
-    if "poly" in paths:
-        values["poly"] = qfib_poly(p).eval_mod(rd.alpha_res.value, p)
-    return values
 
 
-def _verify_applicable(
-    rd: ResidualData, paths: frozenset[str], recurrence_value: int | None = None
-) -> CongruenceRecord:
-    p = rd.p
-    values = _lhs_paths(rd, paths, recurrence_value)
-    lhs = values.get("recurrence", next(iter(values.values())))
-    n_star = predicted_index(rd)
-    rhs = fib_mod(n_star, p)
-    return CongruenceRecord(
-        data=rd,
-        lhs=Residue(lhs, p),
-        predicted_index=n_star,
-        rhs=rhs,
-        match=lhs == rhs.value,
-        paths_agree=len(set(values.values())) == 1,
-    )
+# Routes that cross-check the recurrence, each mapping residual data to F_p(alpha) mod p.
+_CROSS_CHECKS = {
+    "andrews": lambda rd: qfib_mod_andrews(rd.p, rd.alpha_res, rd.ord).value,
+    "proposition": lambda rd: qfib_mod_proposition(rd).value,
+    "poly": lambda rd: qfib_poly(rd.p).eval_mod(rd.alpha_res.value, rd.p),
+}
 
 
-def _scan_chunk(args) -> tuple[list[CongruenceRecord], dict[str, int]]:
-    alpha, primes, paths = args
-    alpha = Fraction(alpha)
-    skipped = {r.value: 0 for r in SKIP_REASONS}
-    rds: list[ResidualData] = []
-    for p in primes:
-        rd = residual_data(alpha, p)
-        if rd.applicable:
-            rds.append(rd)
-        else:
-            skipped[rd.reason.value] += 1
+def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[CongruenceRecord]:
+    """One record per applicable pair, in the given order.
+
+    The recurrence, the ground truth, runs as one batch over all the pairs
+    and gives each record's left side; every other requested route is
+    evaluated per pair and only decides whether the routes agree.
+    """
+    rds = list(rds)
     lhs_values = qfib_mod_recurrence_many(
         [rd.p for rd in rds], [rd.alpha_res.value for rd in rds]
     )
-    extra = frozenset(paths) - {"recurrence"}
-    records = [
-        _verify_applicable(rd, extra, recurrence_value=v)
-        for rd, v in zip(rds, lhs_values)
-    ]
-    return records, skipped
+    records = []
+    for rd, lhs in zip(rds, lhs_values):
+        values = {lhs, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
+        n_star = predicted_index(rd)
+        rhs = fib_mod(n_star, rd.p)
+        records.append(CongruenceRecord(
+            data=rd,
+            lhs=Residue(lhs, rd.p),
+            predicted_index=n_star,
+            rhs=rhs,
+            match=lhs == rhs.value,
+            paths_agree=len(values) == 1,
+        ))
+    return records
+
+
+def _classify(alpha: Fraction, primes: list[int], skipped: dict[str, int]) -> Iterator[ResidualData]:
+    """Yield each applicable prime's residual data in turn; count the others in skipped by reason."""
+    for p in primes:
+        rd = residual_data(alpha, p)
+        if rd.applicable:
+            yield rd
+        else:
+            skipped[rd.reason.value] += 1
+
+
+def _run_chunk(job) -> tuple[object, dict[str, int]]:
+    chunk_fn, alpha, primes, extra = job
+    skipped = {r.value: 0 for r in SKIP_REASONS}
+    return chunk_fn(_classify(alpha, primes, skipped), *extra), skipped
 
 
 def split_chunks(items: list, n: int) -> list[list]:
@@ -254,6 +259,29 @@ def split_chunks(items: list, n: int) -> list[list]:
     return out
 
 
+def run_chunks(
+    chunk_fn: Callable, alpha: Fraction, p_min: int, p_max: int, workers: int, *extra
+) -> tuple[list, dict[str, int]]:
+    """Run chunk_fn over the applicable primes of [p_min, p_max], chunk by chunk.
+
+    The window's primes are split into contiguous chunks, one per worker,
+    run inline for one worker and in one process pool otherwise.  Each
+    call gets an iterator over its chunk's applicable residual data, in
+    ascending p, followed by extra; it must exhaust the iterator, which
+    counts the other primes by reason as it goes.  Returns the chunk
+    results in ascending order and the skip counts summed over chunks.
+    """
+    primes = [p for p in primes_upto(p_max) if p >= p_min]
+    jobs = [(chunk_fn, alpha, chunk, extra) for chunk in split_chunks(primes, workers) if chunk]
+    if workers > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(_run_chunk, jobs)
+    else:
+        parts = [_run_chunk(job) for job in jobs]
+    skipped = {r.value: sum(skips[r.value] for _, skips in parts) for r in SKIP_REASONS}
+    return [result for result, _ in parts], skipped
+
+
 def scan_range(
     alpha: Rational,
     p_min: int,
@@ -263,29 +291,19 @@ def scan_range(
 ) -> "report.ScanReport":
     """Verify the congruence at every applicable prime in [p_min, p_max].
 
-    The range is partitioned into contiguous chunks handled by independent
-    workers; records depend only on (alpha, p) and are merged sorted by p,
-    so the output is identical for any worker count.
+    The recurrence always runs, so it is always among the report's paths.
+    Records depend only on (alpha, p) and come back in ascending p, so the
+    output is identical for any worker count.
     """
+    _check_paths(paths)
     alpha = Fraction(alpha)
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
+    if p_max > RECURRENCE_MAX_P:
+        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got p_max = {p_max}")
+    paths = paths | {"recurrence"}
     start = time.monotonic()
-    primes = [p for p in primes_upto(p_max) if p >= p_min]
-    chunks = [c for c in split_chunks(primes, workers) if c]
-    jobs = [(alpha, chunk, tuple(sorted(paths))) for chunk in chunks]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_chunk, jobs)
-    else:
-        parts = [_scan_chunk(job) for job in jobs]
-    records: list[CongruenceRecord] = []
-    skipped = {r.value: 0 for r in SKIP_REASONS}
-    for recs, skips in parts:
-        records.extend(recs)
-        for k, v in skips.items():
-            skipped[k] += v
-    records.sort(key=lambda r: r.p)
+    parts, skipped = run_chunks(build_records, alpha, p_min, p_max, workers, paths)
     return report.ScanReport(
         alpha=alpha,
         p_min=p_min,
@@ -293,6 +311,6 @@ def scan_range(
         paths=tuple(sorted(paths)),
         workers=workers,
         wall_time_s=time.monotonic() - start,
-        records=records,
+        records=[r for records in parts for r in records],
         skipped=skipped,
     )

@@ -19,6 +19,10 @@ from .qanalogue import IntPoly, QLucasContext, _context, q_binomial_mod
 
 _QFIB_POLYS: list[IntPoly] = [IntPoly.zero(), IntPoly.one()]
 
+# The largest p with p*(p - 1) <= 2**63 - 1.  A recurrence step computes
+# F1 + PW*F0 with every term below p in int64, so past it the step wraps.
+RECURRENCE_MAX_P = 3_037_000_500
+
 
 def qfib_poly(n: int) -> IntPoly:
     """F_n(q) as an exact polynomial: F_{n+2} = F_{n+1} + q**n F_n, F_0 = 0, F_1 = 1."""
@@ -52,6 +56,8 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
     prime's value as the step count reaches it; dyadic blocking keeps the
     total work near sum(p).
     """
+    if max(primes, default=0) > RECURRENCE_MAX_P:
+        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
     out = [0] * len(primes)
     i = 0
     while i < len(primes):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .modarith import Rational
+from .modarith import Rational, reduce_rational
+from .qfib import fib_mod
 
 if TYPE_CHECKING:
     from .congruence import CongruenceRecord
@@ -199,10 +200,16 @@ def check_report(path: str) -> list[str]:
 
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
+    """Consistency of a scan report, plus a recomputation of each record's
+    right side and order check, at O(log p) per record."""
     problems: list[str] = []
     records = payload.get("records", [])
     summary = payload.get("summary", {})
     meta = payload.get("metadata", {})
+    try:
+        alpha = Fraction(meta.get("alpha", ""))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return ["metadata.alpha unparsable"]
     last_p = 0
     matched = mismatched = 0
     for i, r in enumerate(records):
@@ -221,6 +228,9 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
         match = int(r.get("lhs", "-1")) == int(r.get("rhs", "-2"))
         if match != r.get("match"):
             problems.append(f"record {i}: match flag inconsistent with lhs/rhs")
+        if r.get("paths_agree") is not True:
+            problems.append(f"record {i}: the evaluation routes disagree")
+        problems += _recompute_record(i, r, alpha)
         matched += match
         mismatched += not match
     if summary.get("checked") != len(records):
@@ -229,6 +239,18 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
         problems.append("summary.matched inconsistent with records")
     if summary.get("mismatched") != mismatched:
         problems.append("summary.mismatched inconsistent with records")
+    return problems
+
+
+def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
+    p, d, n = r.get("p", 0), r.get("ord", 0), r.get("predicted_index", -1)
+    if p < 3 or d < 1 or n < 0 or alpha.numerator % p == 0 or alpha.denominator % p == 0:
+        return [f"record {i}: cannot recompute at p={p}"]
+    problems = []
+    if pow(reduce_rational(alpha, p).value, d, p) != 1:
+        problems.append(f"record {i}: alpha^ord != 1 mod p")
+    if int(r.get("rhs", "-1")) != fib_mod(n, p).value:
+        problems.append(f"record {i}: rhs != F_predicted_index mod p")
     return problems
 
 

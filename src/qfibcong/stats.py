@@ -9,18 +9,11 @@ whole scan.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import (
-    SKIP_REASONS,
-    predicted_index,
-    qfib_mod_proposition,
-    residual_data,
-    split_chunks,
-)
+from .congruence import predicted_index, qfib_mod_proposition, residual_data, run_chunks
 from .density import _require_base, v_count
 from .errors import DomainError, InternalInvariantViolation, TheoremViolation
 from .modarith import is_prime, primes_upto
@@ -53,28 +46,23 @@ class OccurrenceReport:
     by_value_counts: dict[str, int]
 
 
-def _histogram_chunk(args) -> tuple[dict[int, int], dict[int, list[int]], dict[str, int]]:
-    g, primes, cap = args
+def _histogram_chunk(rds, cap) -> tuple[dict[int, int], dict[int, list[int]]]:
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
-    skipped = {r.value: 0 for r in SKIP_REASONS}
-    for p in primes:
-        rd = residual_data(Fraction(g), p)
-        if not rd.applicable:
-            skipped[rd.reason.value] += 1
-            continue
+    for rd in rds:
+        p = rd.p
         n_star = predicted_index(rd)
         lhs = qfib_mod_proposition(rd)
         if lhs.value != fib_mod(n_star, p).value:
             raise TheoremViolation(
-                f"congruence failed at p={p}, alpha={g}: "
+                f"congruence failed at p={p}, alpha={rd.alpha}: "
                 f"F_p = {lhs.value} but F_{n_star} = {fib_mod(n_star, p).value} mod p"
             )
         counts[n_star] = counts.get(n_star, 0) + 1
         bucket = witnesses.setdefault(n_star, [])
         if len(bucket) < cap:
             bucket.append(p)
-    return counts, witnesses, skipped
+    return counts, witnesses
 
 
 def occurrence_histogram(
@@ -90,24 +78,14 @@ def occurrence_histogram(
     if x < 2:
         raise DomainError(f"occurrence_histogram needs x >= 2, got {x}")
     start = time.monotonic()
-    primes = [p for p in primes_upto(x) if p > 2]
-    chunks = [c for c in split_chunks(primes, workers) if c]
-    jobs = [(g, chunk, witness_cap) for chunk in chunks]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_histogram_chunk, jobs)
-    else:
-        parts = [_histogram_chunk(job) for job in jobs]
+    parts, skipped = run_chunks(_histogram_chunk, Fraction(g), 3, x, workers, witness_cap)
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
-    skipped = {r.value: 0 for r in SKIP_REASONS}
-    for c, w, s in parts:
+    for c, w in parts:
         for n, k in c.items():
             counts[n] = counts.get(n, 0) + k
         for n, ps in w.items():
             witnesses.setdefault(n, []).extend(ps)
-        for k, v in s.items():
-            skipped[k] += v
     by_value: dict[str, int] = {}
     for n, k in counts.items():
         key = value_key(n)

@@ -1,7 +1,9 @@
 import csv
 import json
 
+from qfibcong import congruence
 from qfibcong.cli import main
+from qfibcong.modarith import Residue
 from qfibcong.report import check_report
 
 
@@ -35,14 +37,50 @@ def test_qfib_missing_flags(capsys):
 
 
 def test_verify_exit_codes(capsys):
-    code, out, _ = run(capsys, "verify", "--alpha", "2", "--p", "7")
-    assert code == 0 and "match" in out
+    code, out, err = run(capsys, "verify", "--alpha", "2", "--p", "7")
+    assert code == 0 and err == ""
+    assert out == (
+        "alpha = 2, p = 7\n"
+        "ord = 3, index = 2, lsym = -1\n"
+        "predicted index = 1\n"
+        "lhs = 1, rhs = 1 (mod 7)\n"
+        "match\n"
+    )
     code, out, _ = run(capsys, "verify", "--alpha", "2", "--p", "11")
     assert code == 3 and "inapplicable" in out
     code, _, err = run(capsys, "verify", "--alpha", "1", "--p", "7")
     assert code == 2
     code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "9")
     assert code == 2
+    # an unknown route is a usage error even at a prime where the pair is inapplicable
+    code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "11", "--paths", "nonsense")
+    assert code == 2 and "nonsense" in err
+
+
+def test_scan_refuses_bad_input_before_any_work(capsys):
+    code, _, err = run(capsys, "scan", "--alpha", "2", "--pmin", "11", "--pmax", "12",
+                       "--paths", "nonsense")
+    assert code == 2 and "nonsense" in err
+    # p_max past the int64 bound of the recurrence kernel
+    code, _, err = run(capsys, "scan", "--alpha", "2", "--pmin", "3037000493",
+                       "--pmax", "3037000600")
+    assert code == 2 and "3037000500" in err
+
+
+def test_route_disagreement_fails(capsys, monkeypatch, tmp_path):
+    real = congruence.qfib_mod_proposition
+    monkeypatch.setattr(
+        congruence, "qfib_mod_proposition", lambda rd: Residue(real(rd).value + 1, rd.p)
+    )
+    code, out, err = run(capsys, "verify", "--alpha", "2", "--p", "13",
+                         "--paths", "recurrence,proposition")
+    assert code == 1 and out.splitlines()[-1] == "match" and "disagree" in err
+    path = tmp_path / "r.json"
+    code, _, err = run(capsys, "scan", "--alpha", "2", "--pmax", "50",
+                       "--paths", "recurrence,proposition", "--out", str(path))
+    assert code == 1 and "disagree at 11 primes" in err
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and "record 0: the evaluation routes disagree" in err
 
 
 def test_scan_writes_reports(capsys, tmp_path):
@@ -89,6 +127,24 @@ def test_check_command(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _, err = run(capsys, "check", str(path))
     assert code == 1 and "match flag" in err
+
+    # a record whose two sides were both moved to the same wrong value:
+    # only recomputing the right side can see it
+    path = tmp_path / "r2000.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "2000", "--out", str(path))
+    payload = json.loads(path.read_text())
+    record = payload["records"][5]
+    wrong = str((int(record["rhs"]) + 1) % record["p"])
+    record["lhs"] = record["rhs"] = wrong
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and "record 5: rhs != F_predicted_index mod p" in err
+
+    # a record whose order is wrong for metadata.alpha
+    payload["metadata"]["alpha"] = "3"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and "alpha^ord != 1 mod p" in err
 
     missing = tmp_path / "nope.json"
     code, _, _ = run(capsys, "check", str(missing))

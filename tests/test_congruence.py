@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from qfibcong import congruence
 from qfibcong.congruence import (
     ALL_PATHS,
     Inapplicable,
@@ -15,7 +18,10 @@ from qfibcong.congruence import (
     verify_theorem,
 )
 from qfibcong.errors import DomainError
-from qfibcong.qfib import fib_mod, qfib_mod_recurrence
+from qfibcong.modarith import Residue
+from qfibcong.qfib import RECURRENCE_MAX_P, fib_mod, qfib_mod_recurrence
+from qfibcong.report import scan_report_dict, stats_report_dict
+from qfibcong.stats import occurrence_histogram
 
 from _oracles import primes_trial
 
@@ -137,6 +143,38 @@ def test_scan_range_domain():
         scan_range(Fraction(2), 20, 10)
     with pytest.raises(DomainError):
         scan_range(Fraction(2), 3, 10, paths=frozenset({"nonsense"}))
+    # unknown routes are refused even where no prime would use them:
+    # [11, 12] holds only 11, where ord_11(2) = 10 is divisible by 5
+    with pytest.raises(DomainError):
+        scan_range(Fraction(2), 11, 12, paths=frozenset({"nonsense"}))
+    with pytest.raises(DomainError):
+        verify_theorem(Fraction(2), 11, frozenset({"nonsense"}))
+    # refused before sieving, so this returns at once
+    with pytest.raises(DomainError):
+        scan_range(Fraction(2), RECURRENCE_MAX_P - 7, RECURRENCE_MAX_P + 100)
+
+
+def test_scan_report_names_the_recurrence():
+    assert scan_range(Fraction(2), 3, 50).paths == ("recurrence",)
+    rep = scan_range(Fraction(2), 3, 50, paths=frozenset({"proposition"}))
+    assert rep.paths == ("proposition", "recurrence")
+    assert [r.lhs.value for r in rep.records] == [
+        qfib_mod_recurrence(r.p, r.data.alpha_res).value for r in rep.records
+    ]
+
+
+def test_route_disagreement_is_recorded(monkeypatch):
+    real = congruence.qfib_mod_proposition
+    monkeypatch.setattr(
+        congruence, "qfib_mod_proposition", lambda rd: Residue(real(rd).value + 1, rd.p)
+    )
+    both = frozenset({"recurrence", "proposition"})
+    r = verify_theorem(Fraction(2), 13, both)
+    assert r.match and not r.paths_agree
+    assert verify_theorem(Fraction(2), 13).paths_agree
+    rep = scan_range(Fraction(2), 3, 50, paths=both)
+    assert len(rep.records) == 11 and rep.all_match
+    assert not any(r.paths_agree for r in rep.records)
 
 
 def test_split_chunks():
@@ -144,3 +182,28 @@ def test_split_chunks():
     assert split_chunks([], 3) == [[], [], []]
     assert split_chunks([1], 4)[0] == [1]
     assert sum(split_chunks(list(range(100)), 7), []) == list(range(100))
+
+
+def _body(payload):
+    return json.dumps({k: v for k, v in payload.items() if k != "run"})
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(3, 3000).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, 3000))),
+    st.sampled_from((2, 3, 6)),
+)
+@example((3, 3000), 2)
+@example((1500, 1530), 3)
+def test_chunk_runner_covers_the_window_for_any_worker_count(window, g):
+    p_min, p_max = window
+    odd_primes = [p for p in primes_trial(p_max) if p >= p_min and p > 2]
+    scans, histograms = set(), set()
+    for workers in (1, 2, 3):
+        rep = scan_range(Fraction(g), p_min, p_max, workers=workers)
+        ps = [r.p for r in rep.records]
+        assert ps == sorted(set(ps)) and set(ps) <= set(odd_primes)
+        assert len(ps) + sum(rep.skipped.values()) == len(odd_primes)
+        scans.add(_body(scan_report_dict(rep)))
+        histograms.add(_body(stats_report_dict(occurrence_histogram(g, p_max, workers=workers))))
+    assert len(scans) == len(histograms) == 1

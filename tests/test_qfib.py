@@ -1,17 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, lsym5, multiplicative_order
 from qfibcong.qanalogue import IntPoly
 from qfibcong.qfib import (
+    RECURRENCE_MAX_P,
     _andrews_j_range,
     fib,
     fib_mod,
     g_value,
     qfib_mod_andrews,
     qfib_mod_recurrence,
+    qfib_mod_recurrence_many,
     qfib_poly,
 )
 
@@ -155,3 +158,15 @@ def test_g_value_period_five_symmetry():
         for m in range(1, 26):
             assert g_value(n, m) == g_value(n, m % 5 + 5)
             assert g_value(n, m) == g_value(n, (-m) % 5 + 5)
+
+
+def test_recurrence_kernel_refuses_primes_past_int64():
+    p = RECURRENCE_MAX_P
+    assert p * (p - 1) <= 2**63 - 1 < (p + 1) * p
+    # the kernel's largest step value F1 + PW*F0, all terms p - 1, fits at p and wraps past it
+    for q, fits in ((p, True), (p + 1, False)):
+        t = np.array([q - 1], dtype=np.int64)
+        assert (int((t + t * t)[0]) == q * (q - 1)) is fits
+    # refused before the first step, so neither call runs a long recurrence
+    with pytest.raises(DomainError):
+        qfib_mod_recurrence_many([3, 3_037_000_507], [2, 2])
