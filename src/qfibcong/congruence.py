@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
+import os
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .modarith import (
     residual_index,
 )
 from .qfib import (
+    POLY_MAX_N,
     RECURRENCE_MAX_P,
     fib_mod,
     qfib_mod_andrews,
@@ -182,17 +184,19 @@ def verify_theorem(
     alpha: Rational, p: int, paths: frozenset[str] = DEFAULT_PATHS
 ) -> CongruenceRecord | Inapplicable:
     """Check the congruence at one prime; optionally cross-check extra paths."""
-    _check_paths(paths)
+    _check_paths(paths, p)
     rd = residual_data(alpha, p)
     if not rd.applicable:
         return Inapplicable(rd.reason, rd)
     return build_records([rd], paths)[0]
 
 
-def _check_paths(paths: frozenset[str]) -> None:
+def _check_paths(paths: frozenset[str], p_max: int) -> None:
     unknown = paths - ALL_PATHS
     if unknown:
         raise DomainError(f"unknown paths: {sorted(unknown)}")
+    if "poly" in paths and p_max > POLY_MAX_N:
+        raise DomainError(f"the poly route needs p <= {POLY_MAX_N}, got {p_max}")
 
 
 # Routes that cross-check the recurrence, each mapping residual data to F_p(alpha) mod p.
@@ -247,16 +251,13 @@ def _run_chunk(job) -> tuple[object, dict[str, int]]:
 
 
 def split_chunks(items: list, n: int) -> list[list]:
-    """n contiguous chunks of near-equal size (some possibly empty)."""
-    n = max(1, n)
-    size, rem = divmod(len(items), n)
-    out = []
-    start = 0
-    for i in range(n):
-        stop = start + size + (1 if i < rem else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out
+    """n chunks dealt round-robin (some possibly empty).
+
+    Each chunk keeps the input's order, and their lengths differ by at
+    most 1.  On ascending primes, where a prime's recurrence costs O(p),
+    every chunk also gets nearly the same sum of p.
+    """
+    return [items[i::n] for i in range(max(1, n))]
 
 
 def run_chunks(
@@ -264,17 +265,21 @@ def run_chunks(
 ) -> tuple[list, dict[str, int]]:
     """Run chunk_fn over the applicable primes of [p_min, p_max], chunk by chunk.
 
-    The window's primes are split into contiguous chunks, one per worker,
-    run inline for one worker and in one process pool otherwise.  Each
+    The window's primes are dealt into one chunk per worker by
+    split_chunks.  The non-empty chunks run in one process pool of at most
+    one process per chunk and per CPU, or inline when that is one.  Each
     call gets an iterator over its chunk's applicable residual data, in
     ascending p, followed by extra; it must exhaust the iterator, which
     counts the other primes by reason as it goes.  Returns the chunk
-    results in ascending order and the skip counts summed over chunks.
+    results in chunk order and the skip counts summed over chunks.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     primes = [p for p in primes_upto(p_max) if p >= p_min]
     jobs = [(chunk_fn, alpha, chunk, extra) for chunk in split_chunks(primes, workers) if chunk]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
+    processes = min(workers, len(jobs), os.cpu_count() or 1)
+    if processes > 1:
+        with multiprocessing.Pool(processes) as pool:
             parts = pool.map(_run_chunk, jobs)
     else:
         parts = [_run_chunk(job) for job in jobs]
@@ -292,10 +297,10 @@ def scan_range(
     """Verify the congruence at every applicable prime in [p_min, p_max].
 
     The recurrence always runs, so it is always among the report's paths.
-    Records depend only on (alpha, p) and come back in ascending p, so the
-    output is identical for any worker count.
+    Records depend only on (alpha, p) and are sorted by p after the merge,
+    so the output is identical for any worker count.
     """
-    _check_paths(paths)
+    _check_paths(paths, p_max)
     alpha = Fraction(alpha)
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
@@ -311,6 +316,6 @@ def scan_range(
         paths=tuple(sorted(paths)),
         workers=workers,
         wall_time_s=time.monotonic() - start,
-        records=[r for records in parts for r in records],
+        records=sorted((r for records in parts for r in records), key=lambda r: r.p),
         skipped=skipped,
     )

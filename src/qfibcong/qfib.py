@@ -23,11 +23,20 @@ _QFIB_POLYS: list[IntPoly] = [IntPoly.zero(), IntPoly.one()]
 # F1 + PW*F0 with every term below p in int64, so past it the step wraps.
 RECURRENCE_MAX_P = 3_037_000_500
 
+# A lockstep step costs 3.3-3.7 us of numpy overhead at batch lengths up to a
+# few dozen, a scalar step 0.2-0.3 us (numpy 2.4, Python 3.11, Xeon VM), so
+# a batch of similar primes pays for the lockstep from about 12-18 primes on.
+_LOCKSTEP_MIN_BATCH = 16
+
+# The largest n for qfib_poly.  F_n(q) has degree about n**2/4, and the
+# cache of F_0..F_n grows as n**3: n = 300 peaks at 171 MB, n = 600 at 1.2 GB.
+POLY_MAX_N = 300
+
 
 def qfib_poly(n: int) -> IntPoly:
     """F_n(q) as an exact polynomial: F_{n+2} = F_{n+1} + q**n F_n, F_0 = 0, F_1 = 1."""
-    if n < 0:
-        raise DomainError(f"qfib_poly needs n >= 0, got {n}")
+    if not 0 <= n <= POLY_MAX_N:
+        raise DomainError(f"qfib_poly needs 0 <= n <= {POLY_MAX_N}, got {n}")
     while len(_QFIB_POLYS) <= n:
         k = len(_QFIB_POLYS)
         _QFIB_POLYS.append(_QFIB_POLYS[k - 1] + _QFIB_POLYS[k - 2].shifted(k - 2))
@@ -50,39 +59,35 @@ def qfib_mod_recurrence(n: int, alpha: Residue) -> Residue:
 
 
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:
-    """F_p(alpha_p) mod p for an ascending batch of primes, vectorized.
+    """F_p(alpha_p) mod p for an ascending batch of primes.
 
-    Runs the recurrence for the whole batch in lockstep and harvests each
-    prime's value as the step count reaches it; dyadic blocking keeps the
-    total work near sum(p).
+    A batch of at least _LOCKSTEP_MIN_BATCH primes runs the recurrence in
+    numpy lockstep: the front prime's value is harvested as the step count
+    reaches it, and the arrays are then cut down to the primes not yet
+    finished, so the work is exactly sum(p - 1).  Shorter batches run the
+    scalar recurrence prime by prime.
     """
     if max(primes, default=0) > RECURRENCE_MAX_P:
         raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
-    out = [0] * len(primes)
-    i = 0
-    while i < len(primes):
-        j = i
-        cap = 2 * primes[i]
-        while j < len(primes) and primes[j] < cap:
-            j += 1
-        _recurrence_block(primes[i:j], alpha_values[i:j], out, i)
-        i = j
+    if any(q < p for p, q in zip(primes, primes[1:])):
+        raise DomainError("the recurrence kernel needs the primes in ascending order")
+    if len(primes) < _LOCKSTEP_MIN_BATCH:
+        return [qfib_mod_recurrence(p, Residue(a, p)).value for p, a in zip(primes, alpha_values)]
+    P = np.array(primes, dtype=np.int64)
+    A = np.array(alpha_values, dtype=np.int64)
+    F0 = np.zeros(len(primes), dtype=np.int64)
+    F1 = np.ones(len(primes), dtype=np.int64)
+    PW = np.ones(len(primes), dtype=np.int64)
+    out = []
+    n = 1  # F1 holds F_n
+    for p in primes:
+        for _ in range(p - n):
+            F0, F1 = F1, (F1 + PW * F0) % P
+            PW = PW * A % P
+        n = p
+        out.append(int(F1[0]))
+        P, A, F0, F1, PW = P[1:], A[1:], F0[1:], F1[1:], PW[1:]
     return out
-
-
-def _recurrence_block(ps: list[int], avals: list[int], out: list[int], offset: int) -> None:
-    P = np.array(ps, dtype=np.int64)
-    A = np.array(avals, dtype=np.int64)
-    F0 = np.zeros(len(ps), dtype=np.int64)
-    F1 = np.ones(len(ps), dtype=np.int64)
-    PW = np.ones(len(ps), dtype=np.int64)
-    k = 0
-    for n in range(ps[-1] - 1):
-        F0, F1 = F1, (F1 + PW * F0) % P
-        PW = PW * A % P
-        while k < len(ps) and ps[k] == n + 2:
-            out[offset + k] = int(F1[k])
-            k += 1
 
 
 def _andrews_j_range(n: int) -> range:

@@ -70,9 +70,12 @@ def occurrence_histogram(
 ) -> OccurrenceReport:
     """Bucket every applicable odd prime p <= x by its predicted index.
 
-    Witness lists are capped per bucket (counts stay exact).  Since the
-    prime chunks are contiguous and ascending, capped witness lists are
-    always the smallest primes of the bucket regardless of worker count.
+    Witness lists are capped per bucket (counts stay exact).  Each chunk
+    is ascending and keeps the cap smallest primes of each bucket it sees.
+    A prime among a bucket's cap smallest overall has fewer than cap
+    smaller primes in that bucket, so also within its own chunk, and is
+    kept there; merging, sorting and capping the chunk lists therefore
+    gives the bucket's cap smallest primes for any worker count.
     """
     _require_base(g)
     if x < 2:

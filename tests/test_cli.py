@@ -67,6 +67,25 @@ def test_scan_refuses_bad_input_before_any_work(capsys):
     assert code == 2 and "3037000500" in err
 
 
+def test_worker_counts_below_one_are_refused(capsys):
+    for workers in ("0", "-3"):
+        code, out, err = run(capsys, "scan", "--alpha", "2", "--pmax", "100", "--workers", workers)
+        assert code == 2 and out == "" and "workers" in err
+        code, out, err = run(capsys, "stats", "--g", "2", "--x", "100", "--workers", workers)
+        assert code == 2 and out == "" and "workers" in err
+
+
+def test_exact_polynomial_route_is_bounded(capsys):
+    code, out, err = run(capsys, "qfib", "301", "--poly")
+    assert code == 2 and out == "" and "300" in err
+    code, _, err = run(capsys, "scan", "--alpha", "2", "--pmax", "301", "--paths", "poly")
+    assert code == 2 and "poly" in err
+    code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "307", "--paths", "poly")
+    assert code == 2 and "poly" in err
+    code, _, _ = run(capsys, "verify", "--alpha", "2", "--p", "13", "--paths", "poly")
+    assert code == 0
+
+
 def test_route_disagreement_fails(capsys, monkeypatch, tmp_path):
     real = congruence.qfib_mod_proposition
     monkeypatch.setattr(

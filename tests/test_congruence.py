@@ -178,10 +178,46 @@ def test_route_disagreement_is_recorded(monkeypatch):
 
 
 def test_split_chunks():
-    assert split_chunks([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
     assert split_chunks([], 3) == [[], [], []]
     assert split_chunks([1], 4)[0] == [1]
-    assert sum(split_chunks(list(range(100)), 7), []) == list(range(100))
+    for items, n in ((list(range(100)), 7), ([1, 2, 3, 4, 5], 2), ([3, 5, 7], 8)):
+        chunks = split_chunks(items, n)
+        assert len(chunks) == n
+        assert sorted(sum(chunks, [])) == items
+        assert all(chunk == sorted(chunk) for chunk in chunks)
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+    # each odd prime p costs O(p) in the recurrence, so the chunks share sum(p)
+    primes = primes_trial(50_000)[1:]
+    for n in (2, 3, 8):
+        loads = [sum(chunk) for chunk in split_chunks(primes, n)]
+        assert max(loads) <= 1.01 * sum(loads) / n
+
+
+def test_chunk_runner_starts_no_idle_processes(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(congruence.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(congruence.os, "cpu_count", lambda: 8)
+    # [1500, 1530] holds two primes, 1511 and 1523: two non-empty chunks of 64
+    rep = scan_range(Fraction(2), 1500, 1530, workers=64)
+    assert sizes == [2] and rep.workers == 64
+    assert rep.records == scan_range(Fraction(2), 1500, 1530, workers=1).records
+    monkeypatch.setattr(congruence.os, "cpu_count", lambda: 1)
+    scan_range(Fraction(2), 3, 1000, workers=64)
+    assert sizes == [2]
 
 
 def _body(payload):

@@ -7,7 +7,9 @@ from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, lsym5, multiplicative_order
 from qfibcong.qanalogue import IntPoly
 from qfibcong.qfib import (
+    POLY_MAX_N,
     RECURRENCE_MAX_P,
+    _LOCKSTEP_MIN_BATCH,
     _andrews_j_range,
     fib,
     fib_mod,
@@ -28,6 +30,8 @@ def test_qfib_poly_small():
     assert qfib_poly(5) == IntPoly((1, 1, 1, 1, 1))
     with pytest.raises(DomainError):
         qfib_poly(-1)
+    with pytest.raises(DomainError):
+        qfib_poly(POLY_MAX_N + 1)
 
 
 def test_qfib_poly_recurrence():
@@ -170,3 +174,18 @@ def test_recurrence_kernel_refuses_primes_past_int64():
     # refused before the first step, so neither call runs a long recurrence
     with pytest.raises(DomainError):
         qfib_mod_recurrence_many([3, 3_037_000_507], [2, 2])
+
+
+def test_recurrence_kernel_on_both_sides_of_the_lockstep_threshold():
+    rng = random.Random(5)
+    odd = primes_trial(2999)[1:]
+    m = _LOCKSTEP_MIN_BATCH
+    batches = [sorted(rng.sample(odd, k)) for k in (0, 1, m - 1, m, m + 1, 300)]
+    batches += [odd[i:i + k] for i in (0, 1, 2) for k in (m - 1, m, m + 1)]  # from 3, 5 and 7
+    batches += [[3] + odd[-k:] for k in (m - 2, m - 1)]  # 3 and 2999 far apart
+    for ps in batches:
+        avals = [rng.randrange(2, p) for p in ps]
+        expected = [qfib_mod_recurrence(p, Residue(a, p)).value for p, a in zip(ps, avals)]
+        assert qfib_mod_recurrence_many(ps, avals) == expected, ps
+    with pytest.raises(DomainError):
+        qfib_mod_recurrence_many(odd[:m][::-1], [2] * m)
