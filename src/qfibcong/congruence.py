@@ -28,7 +28,6 @@ from .modarith import (
     Rational,
     Residue,
     is_prime,
-    legendre,
     lsym5,
     multiplicative_order,
     primes_upto,
@@ -176,7 +175,7 @@ def qfib_mod_proposition(rd: ResidualData) -> Residue:
             sub += comb
         if k < idx:
             comb = comb * (idx - k) % p * inv[k + 1] % p
-    total -= legendre(a, p) * sub
+    total -= pow(a, (p - 1) // 2, p) * sub  # (a/p) by Euler's criterion; p is prime
     return Residue(total % p, p)
 
 

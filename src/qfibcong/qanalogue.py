@@ -8,6 +8,7 @@ base-d (q-Lucas) reduction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import DomainError, NotInvertible
@@ -137,12 +138,18 @@ def q_factorial(n: int) -> IntPoly:
 # Row cache for the q-Pascal recurrence; rows are write-once and idempotent.
 _QBINOM_ROWS: list[list[IntPoly]] = [[IntPoly.one()]]
 
+# The largest n for q_binomial_poly.  The cache of rows 0..n grows about as
+# n**4: n = 49 peaks at 38 MB, n = 64 at 58 MB, n = 100 at 230 MB.
+QBINOM_MAX_N = 64
+
 
 def q_binomial_poly(n: int, m: int) -> IntPoly:
     """Gaussian binomial as an exact polynomial; zero outside 0 <= m <= n.
 
     Pascal variant: [n, m] = [n-1, m-1] + q**m [n-1, m].
     """
+    if n > QBINOM_MAX_N:
+        raise DomainError(f"q_binomial_poly needs n <= {QBINOM_MAX_N}, got {n}")
     if n < 0 or m < 0 or m > n:
         return IntPoly.zero()
     while len(_QBINOM_ROWS) <= n:
@@ -157,58 +164,36 @@ def q_binomial_poly(n: int, m: int) -> IntPoly:
 
 
 class QLucasContext:
-    """Per-(p, alpha) tables backing fast base-d q-binomial evaluation.
+    """Per-(p, alpha) tables backing base-d q-binomial evaluation.
 
-    Holds the q-factorial values [1]_a [2]_a ... [d-1]_a mod p (all units),
-    their inverses, and a lazily grown ordinary factorial table mod p.
-    Safe to share read-only across threads once built.
+    Holds k! and the q-factorials [1]_a ... [k]_a mod p, each grown in place
+    only as far as a call reads it; the Andrews row p - 1 = I*d reads k! up
+    to I! and no q-factorial.  Growth takes no lock: share no context across threads.
     """
 
-    __slots__ = ("p", "a", "d", "qfact", "inv_qfact", "_fact")
+    __slots__ = ("p", "a", "d", "_fact", "_qfact")
 
-    def __init__(self, alpha: Residue, d: int | None = None):
-        p = alpha.modulus
-        a = alpha.value
-        if a == 0:
+    def __init__(self, alpha: Residue):
+        if alpha.value == 0:
             raise NotInvertible("alpha must be a unit mod p")
-        if d is None:
-            d = multiplicative_order(alpha)
-        elif pow(a, d, p) != 1:
-            raise DomainError(f"{a}^{d} != 1 mod {p}: d is not the order of alpha")
-        self.p = p
-        self.a = a
-        self.d = d
-        qfact = [1] * d
-        if d > 1:
-            inv_am1 = pow(a - 1, -1, p)
-            acc = 1
-            apow = 1
-            for i in range(1, d):
-                apow = apow * a % p
-                acc = acc * ((apow - 1) * inv_am1) % p
-                qfact[i] = acc
-        self.qfact = qfact
-        # two-pass batch inversion: one modular inverse for the whole table
-        inv = [0] * d
-        prefix = [1] * (d + 1)
-        for i in range(d):
-            prefix[i + 1] = prefix[i] * qfact[i] % p
-        running = pow(prefix[d], -1, p)
-        for i in range(d - 1, -1, -1):
-            inv[i] = running * prefix[i] % p
-            running = running * qfact[i] % p
-        self.inv_qfact = inv
+        self.p = alpha.modulus
+        self.a = alpha.value
+        self.d = multiplicative_order(alpha)
         self._fact = [1]
+        self._qfact = [1]
 
-    def fact(self, n: int) -> int:
-        """n! mod p for 0 <= n < p, grown on demand."""
-        f = self._fact
-        while len(f) <= n:
-            f.append(f[-1] * len(f) % self.p)
-        return f[n]
+    def _ratio(self, table: list[int], factor: Callable[[int], int], n: int, m: int) -> int:
+        """table[n] / (table[m] * table[n - m]) mod p, growing table through index n.
+
+        table[k] is factor(1) * ... * factor(k) mod p; every factor up to n must be a unit.
+        """
+        p = self.p
+        while len(table) <= n:
+            table.append(table[-1] * factor(len(table)) % p)
+        return table[n] * pow(table[m] * table[n - m] % p, -1, p) % p
 
     def comb_mod(self, n: int, m: int) -> int:
-        """C(n, m) mod p via factorial tables, with base-p reduction for n >= p."""
+        """C(n, m) mod p via factorials, with base-p reduction for n >= p."""
         if m < 0 or m > n:
             return 0
         p = self.p
@@ -218,34 +203,18 @@ class QLucasContext:
             m, m0 = divmod(m, p)
             if m0 > n0:
                 return 0
-            out = (
-                out
-                * self.fact(n0)
-                * pow(self.fact(m0) * self.fact(n0 - m0) % p, -1, p)
-                % p
-            )
+            out = out * self._ratio(self._fact, int, n0, m0) % p
         return out
-
-    def q_binomial_small(self, n0: int, m0: int) -> int:
-        """Gaussian binomial at alpha for 0 <= m0 <= n0 < d, via q-factorials."""
-        return (
-            self.qfact[n0]
-            * self.inv_qfact[m0]
-            % self.p
-            * self.inv_qfact[n0 - m0]
-            % self.p
-        )
 
     def q_binomial(self, n: int, m: int) -> int:
         """Gaussian binomial [n, m] evaluated at alpha mod p, base-d reduction."""
-        if m < 0 or m > n or n < 0:
+        if m < 0 or m > n:
             return 0
-        d = self.d
-        n1, n0 = divmod(n, d)
-        m1, m0 = divmod(m, d)
+        n1, n0 = divmod(n, self.d)
+        m1, m0 = divmod(m, self.d)
         if m0 > n0:
             return 0
-        return self.comb_mod(n1, m1) * self.q_binomial_small(n0, m0) % self.p
+        return self.comb_mod(n1, m1) * self._ratio(self._qfact, self.q_int, n0, m0) % self.p
 
     def q_int(self, n: int) -> int:
         """[n]_alpha mod p."""
@@ -317,15 +286,14 @@ def c_k(k: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
     return Residue(out, p)
 
 
-def c_k_all(alpha: Residue, ctx: QLucasContext | None = None) -> list[int]:
+def c_k_all(alpha: Residue) -> list[int]:
     """C_k for every k in [0, p-1-d] in one O(p) pass.
 
     Same pairing as c_k, regrouped: with u[i] = [i]_alpha when d does not
     divide i and u[i] = i/d otherwise, every pair ratio is a quotient of
     u-values, so C_k is a quotient of prefix products of u.
     """
-    if ctx is None:
-        ctx = _context(alpha.modulus, alpha.value)
+    ctx = _context(alpha.modulus, alpha.value)
     p, d, a = ctx.p, ctx.d, ctx.a
     u = [1] * p  # u[0] unused
     if a == 1:

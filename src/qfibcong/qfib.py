@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantViolation
 from .modarith import Residue, lsym5
-from .qanalogue import IntPoly, QLucasContext, _context, q_binomial_mod
+from .qanalogue import IntPoly, _context
 
 _QFIB_POLYS: list[IntPoly] = [IntPoly.zero(), IntPoly.one()]
 
@@ -96,7 +96,7 @@ def _andrews_j_range(n: int) -> range:
     return range(-ceil_fifth - 1, (n - 1) // 5 + 2)
 
 
-def qfib_mod_andrews(n: int, alpha: Residue, d: int, ctx: QLucasContext | None = None) -> Residue:
+def qfib_mod_andrews(n: int, alpha: Residue, d: int) -> Residue:
     """F_n(alpha) mod p by the explicit alternating q-binomial sum.
 
     Evaluates sum_j (-1)**j q**(j(5j+1)/2) [n-1, floor((n-1-5j)/2)] at
@@ -108,21 +108,20 @@ def qfib_mod_andrews(n: int, alpha: Residue, d: int, ctx: QLucasContext | None =
         raise DomainError(f"qfib_mod_andrews needs n >= 0, got {n}")
     if n == 0:
         return Residue(0, p)
-    if ctx is None:
-        ctx = _context(p, alpha.value)
+    ctx = _context(p, alpha.value)
     if ctx.d != d:
         raise DomainError(f"d = {d} is not the order of {alpha.value} mod {p}")
     a = alpha.value
     nn = n - 1
     total = 0
     for j in _andrews_j_range(n):
-        m = (nn - 5 * j) // 2
-        if m < 0 or m > nn:
+        qb = ctx.q_binomial(nn, (nn - 5 * j) // 2)
+        if qb == 0:
             continue
         e = j * (5 * j + 1)
         if e % 2 != 0:
             raise InternalInvariantViolation("j(5j+1) must be even")
-        term = pow(a, (e // 2) % (p - 1), p) * ctx.q_binomial(nn, m) % p
+        term = pow(a, (e // 2) % (p - 1), p) * qb % p
         total = (total - term if j % 2 else total + term) % p
     return Residue(total, p)
 

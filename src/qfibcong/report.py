@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .modarith import Rational, reduce_rational
+from .modarith import Rational, multiplicative_order, reduce_rational
 from .qfib import fib_mod
 
 if TYPE_CHECKING:
@@ -201,7 +201,7 @@ def check_report(path: str) -> list[str]:
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
     """Consistency of a scan report, plus a recomputation of each record's
-    right side and order check, at O(log p) per record."""
+    right side and order, at O(log p) plus the factoring of p - 1 per record."""
     problems: list[str] = []
     records = payload.get("records", [])
     summary = payload.get("summary", {})
@@ -247,8 +247,11 @@ def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
     if p < 3 or d < 1 or n < 0 or alpha.numerator % p == 0 or alpha.denominator % p == 0:
         return [f"record {i}: cannot recompute at p={p}"]
     problems = []
-    if pow(reduce_rational(alpha, p).value, d, p) != 1:
+    res = reduce_rational(alpha, p)
+    if pow(res.value, d, p) != 1:
         problems.append(f"record {i}: alpha^ord != 1 mod p")
+    elif multiplicative_order(res) != d:
+        problems.append(f"record {i}: ord is not the least exponent with alpha^ord = 1 mod p")
     if int(r.get("rhs", "-1")) != fib_mod(n, p).value:
         problems.append(f"record {i}: rhs != F_predicted_index mod p")
     return problems

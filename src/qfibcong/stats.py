@@ -2,9 +2,10 @@
 
 For a fixed base g, every applicable prime p contributes a predicted
 index n* = I_p(g) + (ord_p(g)/5); the histogram buckets primes by n* and
-derives the value view keyed by F_{n*}.  Verification runs alongside the
-bucketing via the S-set route, so a single mismatch anywhere aborts the
-whole scan.
+derives the value view keyed by F_{n*}.  Each prime is checked alongside
+the bucketing by the S-set (proposition) route, a step of the paper's
+proof: it checks G_{I,ord} = F_{I+(ord/5)}, not the theorem itself.  A
+single mismatch anywhere aborts the whole scan.
 """
 
 from __future__ import annotations

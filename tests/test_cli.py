@@ -3,7 +3,8 @@ import json
 
 from qfibcong import congruence
 from qfibcong.cli import main
-from qfibcong.modarith import Residue
+from qfibcong.modarith import Residue, lsym5
+from qfibcong.qfib import fib_mod
 from qfibcong.report import check_report
 
 
@@ -164,6 +165,25 @@ def test_check_command(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _, err = run(capsys, "check", str(path))
     assert code == 1 and "alpha^ord != 1 mod p" in err
+
+    # a record whose ord is a multiple of the true order, with every field
+    # derived from it made consistent: only the minimality check can see it
+    path = tmp_path / "r_ord.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "2000", "--out", str(path))
+    payload = json.loads(path.read_text())
+    i, record = next((i, r) for i, r in enumerate(payload["records"]) if r["index"] % 2 == 0)
+    record["ord"] *= 2
+    record["index"] //= 2
+    record["lsym"] = lsym5(record["ord"])
+    record["predicted_index"] = record["index"] + record["lsym"]
+    record["lhs"] = record["rhs"] = str(fib_mod(record["predicted_index"], record["p"]).value)
+    record["match"] = True
+    path.write_text(json.dumps(payload))
+    assert check_report(str(path)) == [
+        f"record {i}: ord is not the least exponent with alpha^ord = 1 mod p"
+    ]
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and "ord is not the least exponent" in err
 
     missing = tmp_path / "nope.json"
     code, _, _ = run(capsys, "check", str(missing))

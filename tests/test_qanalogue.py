@@ -5,8 +5,10 @@ import pytest
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, multiplicative_order
 from qfibcong.qanalogue import (
+    QBINOM_MAX_N,
     IntPoly,
     QLucasContext,
+    _context,
     c_k,
     c_k_all,
     q_binomial_mod,
@@ -15,6 +17,7 @@ from qfibcong.qanalogue import (
     q_integer,
     q_ratio,
 )
+from qfibcong.qfib import qfib_mod_andrews, qfib_mod_recurrence
 
 from _oracles import primes_trial, qpascal_table
 
@@ -61,6 +64,13 @@ def test_q_binomial_poly_symmetry():
     for n in range(41):
         for m in range(n + 1):
             assert q_binomial_poly(n, m) == q_binomial_poly(n, n - m)
+
+
+def test_q_binomial_poly_is_bounded():
+    assert QBINOM_MAX_N == 64
+    assert q_binomial_poly(64, 32)(1) == math.comb(64, 32)
+    with pytest.raises(DomainError):
+        q_binomial_poly(65, 1)
 
 
 def test_q_binomial_poly_product_formula():
@@ -195,3 +205,15 @@ def test_context_tables():
     assert ctx.q_int(2) == 3
     assert ctx.comb_mod(6, 3) == math.comb(6, 3) % 7
     assert ctx.comb_mod(10, 4) == math.comb(10, 4) % 7
+
+
+def test_context_tables_grow_only_as_far_as_read():
+    # at n = p with a primitive root, the base-d reduction reads 0! and 1!
+    # (C(I, m1) with I = 1) and only the empty q-factorial (n0 = 0)
+    p = 140_009
+    a = next(a for a in range(2, p) if multiplicative_order(Residue(a, p)) == p - 1)
+    alpha = Residue(a, p)
+    assert qfib_mod_andrews(p, alpha, p - 1) == qfib_mod_recurrence(p, alpha)
+    ctx = _context(p, a)
+    assert len(ctx._fact) <= 2
+    assert len(ctx._qfact) <= 1
