@@ -31,7 +31,6 @@ from .modarith import (
     lsym5,
     multiplicative_order,
     primes_upto,
-    reduce_rational,
     residual_index,
 )
 from .qfib import (
@@ -110,16 +109,27 @@ class CongruenceRecord:
 
 def residual_data(alpha: Rational, p: int) -> ResidualData:
     """Order, index, symbol and applicability flags for one (alpha, p) pair."""
+    alpha = _require_alpha(alpha)
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"p must be an odd prime, got {p}")
+    return _residual_data(alpha, p)
+
+
+def _require_alpha(alpha: Rational) -> Fraction:
     alpha = Fraction(alpha)
     if alpha == 0 or alpha == 1:
         raise DomainError("alpha must avoid 0 and 1")
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    if alpha.numerator % p == 0 or alpha.denominator % p == 0:
+    return alpha
+
+
+def _residual_data(alpha: Fraction, p: int) -> ResidualData:
+    """residual_data for an alpha outside {0, 1} and a p the caller knows is an odd prime."""
+    num, den = alpha.numerator, alpha.denominator
+    if num % p == 0 or den % p == 0:
         return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA)
-    if (alpha - 1).numerator % p == 0:
+    if (num - den) % p == 0:  # alpha - 1 = (num - den)/den in lowest terms
         return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA_MINUS_1)
-    res = reduce_rational(alpha, p)
+    res = Residue(num * pow(den, -1, p) % p, p)
     d = multiplicative_order(res)
     idx = residual_index(p, d)
     reason = Reason.ORD_DIVISIBLE_BY_5 if d % 5 == 0 else Reason.OK
@@ -161,21 +171,28 @@ def qfib_mod_proposition(rd: ResidualData) -> Residue:
     inv = [0, 1] + [0] * max(0, idx - 1)
     for i in range(2, idx + 1):
         inv[i] = (p - p // i) * inv[p % i] % p
-    total = 0
-    sub = 0
+    k1 = None  # the least index of S1
+    sum1 = sum2 = 0  # C(idx, k) summed over S1 and over S2
     comb = 1  # C(idx, k) mod p, updated as k advances
     for k in range(idx + 1):
         r = (2 * k * d - p) % 5
         if r == 4:
-            e = p - 1 - 2 * k * d
-            if e % 10 != 0:
-                raise InternalInvariantViolation("S1 exponent must be divisible by 10")
-            total += pow(a, (e // 10) % (p - 1), p) * comb
+            if k1 is None:
+                k1 = k
+            sum1 += comb
         elif r == 3:
-            sub += comb
+            sum2 += comb
         if k < idx:
             comb = comb * (idx - k) % p * inv[k + 1] % p
-    total -= pow(a, (p - 1) // 2, p) * sub  # (a/p) by Euler's criterion; p is prime
+    total = -pow(a, (p - 1) // 2, p) * sum2  # (a/p) by Euler's criterion; p is prime
+    if k1 is not None:
+        # 5 does not divide ord, so S1 is one residue class mod 5: its
+        # exponents step down by 2*5*ord/10 = ord, and alpha**ord = 1
+        # gives every S1 term the power of the first.
+        e = p - 1 - 2 * k1 * d
+        if e % 10 != 0:
+            raise InternalInvariantViolation("S1 exponent must be divisible by 10")
+        total += pow(a, (e // 10) % (p - 1), p) * sum1
     return Residue(total % p, p)
 
 
@@ -233,10 +250,13 @@ def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[Co
     return records
 
 
-def _classify(alpha: Fraction, primes: list[int], skipped: dict[str, int]) -> Iterator[ResidualData]:
-    """Yield each applicable prime's residual data in turn; count the others in skipped by reason."""
+def _classify(alpha: Fraction, primes: Iterable[int], skipped: dict[str, int]) -> Iterator[ResidualData]:
+    """Yield each applicable prime's residual data in turn; count the others in skipped by reason.
+
+    The primes come from the sieve, so they are not tested again.
+    """
     for p in primes:
-        rd = residual_data(alpha, p)
+        rd = _residual_data(alpha, p)
         if rd.applicable:
             yield rd
         else:
@@ -264,17 +284,18 @@ def run_chunks(
 ) -> tuple[list, dict[str, int]]:
     """Run chunk_fn over the applicable primes of [p_min, p_max], chunk by chunk.
 
-    The window's primes are dealt into one chunk per worker by
-    split_chunks.  The non-empty chunks run in one process pool of at most
-    one process per chunk and per CPU, or inline when that is one.  Each
-    call gets an iterator over its chunk's applicable residual data, in
+    Only the window is sieved.  Its primes are not tested again, so the
+    caller must give p_min >= 3 and an alpha outside {0, 1}.  The primes
+    are dealt into one chunk per worker by split_chunks.  The non-empty
+    chunks run in one process pool of at most one process per chunk and
+    per CPU, or inline when that is one.  Each call gets an iterator over its chunk's applicable residual data, in
     ascending p, followed by extra; it must exhaust the iterator, which
     counts the other primes by reason as it goes.  Returns the chunk
     results in chunk order and the skip counts summed over chunks.
     """
     if workers < 1:
         raise DomainError(f"workers must be at least 1, got {workers}")
-    primes = [p for p in primes_upto(p_max) if p >= p_min]
+    primes = primes_upto(p_max, p_min)
     jobs = [(chunk_fn, alpha, chunk, extra) for chunk in split_chunks(primes, workers) if chunk]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
@@ -300,7 +321,7 @@ def scan_range(
     so the output is identical for any worker count.
     """
     _check_paths(paths, p_max)
-    alpha = Fraction(alpha)
+    alpha = _require_alpha(alpha)
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
     if p_max > RECURRENCE_MAX_P:

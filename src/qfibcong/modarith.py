@@ -68,14 +68,18 @@ def _simple_sieve(limit: int) -> list[int]:
 _SEGMENT = 1 << 18
 
 
-def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, ascending; segmented so memory stays O(sqrt + segment)."""
+def prime_sieve(limit: int, lo: int = 2) -> list[int]:
+    """All primes in [lo, limit], ascending.
+
+    Segmented from max(lo, sqrt(limit)), so memory stays O(sqrt(limit) +
+    segment) besides the output, however far the window lies from 2.
+    """
     if limit < 2:
         return []
     root = math.isqrt(limit)
     base = _simple_sieve(root)
-    primes = list(base)
-    lo = root + 1
+    primes = [p for p in base if p >= lo]
+    lo = max(lo, root + 1)
     while lo <= limit:
         hi = min(lo + _SEGMENT - 1, limit)
         mask = np.ones(hi - lo + 1, dtype=bool)
@@ -83,17 +87,15 @@ def prime_sieve(limit: int) -> list[int]:
             start = ((lo + p - 1) // p) * p
             if start <= hi:
                 mask[start - lo :: p] = False
-        if lo <= 1:
-            mask[: 2 - lo] = False
         primes.extend((np.flatnonzero(mask) + lo).tolist())
         lo = hi + 1
     return primes
 
 
-@lru_cache(maxsize=8)
-def primes_upto(limit: int) -> tuple[int, ...]:
-    """Cached variant of prime_sieve for repeated scans over the same range."""
-    return tuple(prime_sieve(limit))
+@lru_cache(maxsize=4)  # whole windows, about 36 bytes per prime
+def primes_upto(limit: int, lo: int = 2) -> tuple[int, ...]:
+    """Cached variant of prime_sieve for repeated scans over the same window."""
+    return tuple(prime_sieve(limit, lo))
 
 
 @lru_cache(maxsize=1)
@@ -200,7 +202,7 @@ def legendre(a: int, p: int) -> int:
 
 def lsym5(m: int) -> int:
     """The quadratic-residue symbol (m/5); the index-shift sign of the main congruence."""
-    return legendre(m % 5, 5)
+    return (0, 1, -1, -1, 1)[m % 5]
 
 
 def kronecker(a: int, n: int) -> int:

@@ -18,7 +18,7 @@ from qfibcong.congruence import (
     verify_theorem,
 )
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue
+from qfibcong.modarith import Residue, reduce_rational
 from qfibcong.qfib import RECURRENCE_MAX_P, fib_mod, qfib_mod_recurrence
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
@@ -45,6 +45,24 @@ def test_residual_data_domain():
     for p in (2, 9, 1):
         with pytest.raises(DomainError):
             residual_data(Fraction(2), p)
+
+
+def test_trusted_residual_data_matches_public():
+    # covers p | num, p | den and p | num - den for these alphas; the
+    # valuations and the residue are checked by Fraction arithmetic
+    reasons = set()
+    for alpha in map(Fraction, ("2", "3", "1/2", "3/2", "7/4", "2/5", "8")):
+        for p in primes_trial(5000)[1:]:
+            rd = residual_data(alpha, p)
+            assert congruence._residual_data(alpha, p) == rd
+            if alpha.numerator % p == 0 or alpha.denominator % p == 0:
+                assert rd.reason is Reason.BAD_VALUATION_ALPHA
+            elif (alpha - 1).numerator % p == 0:
+                assert rd.reason is Reason.BAD_VALUATION_ALPHA_MINUS_1
+            else:
+                assert rd.alpha_res == reduce_rational(alpha, p)
+            reasons.add(rd.reason)
+    assert reasons == set(Reason)
 
 
 def test_predicted_index_examples():
@@ -78,6 +96,20 @@ def test_proposition_handles_negative_exponents():
     from qfibcong.modarith import Residue
 
     assert got == qfib_mod_recurrence(29, Residue(12, 29)).value
+
+
+def test_proposition_matches_recurrence_exhaustively():
+    # many of these pairs have |S1| >= 2, where the S1 terms share one power
+    multi = 0
+    for p in primes_trial(400)[1:]:
+        for a in range(2, p):
+            rd = residual_data(Fraction(a), p)
+            if not rd.applicable:
+                continue
+            multi += len(s_sets(rd).s1) >= 2
+            want = qfib_mod_recurrence(p, rd.alpha_res).value
+            assert qfib_mod_proposition(rd).value == want, (a, p)
+    assert multi > 100
 
 
 def test_verify_theorem_examples():
@@ -152,6 +184,27 @@ def test_scan_range_domain():
     # refused before sieving, so this returns at once
     with pytest.raises(DomainError):
         scan_range(Fraction(2), RECURRENCE_MAX_P - 7, RECURRENCE_MAX_P + 100)
+    # alpha in {0, 1} is refused even for a window without primes
+    for alpha in (Fraction(0), Fraction(1)):
+        with pytest.raises(DomainError):
+            scan_range(alpha, 24, 28)
+
+
+def test_chunk_runner_sieves_only_the_window(monkeypatch):
+    calls = []
+    real = congruence.primes_upto
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(congruence, "primes_upto", recording)
+    lo, hi = 10**6 - 300, 10**6
+    parts, skipped = congruence.run_chunks(list, Fraction(2), lo, hi, 1)
+    assert calls == [(hi, lo)]
+    ps = [rd.p for rd in parts[0]]
+    assert len(ps) + sum(skipped.values()) == len(real(hi, lo)) > 0
+    assert min(ps) >= lo
 
 
 def test_scan_report_names_the_recurrence():

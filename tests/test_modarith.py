@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfibcong.errors import BadValuation, DomainError, InternalInvariantViolation, NotInvertible
 from qfibcong.modarith import (
@@ -46,6 +46,21 @@ def test_prime_sieve_crosses_segment_boundary():
     for p in primes[-20:]:
         assert is_prime(p)
     assert len(prime_sieve(10**6)) == 78498
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, (1 << 18) + 3000).flatmap(
+    lambda hi: st.tuples(st.integers(-5, hi + 5), st.just(hi))))
+@example((2, 1000))
+@example((0, 1000))
+@example((20, 10_000))  # lo below sqrt(hi)
+# segments of 2**18 start at lo, so these windows straddle a seam;
+# the second segment of [1023, ...] starts at the prime 263167
+@example((1023, (1 << 18) + 3000))
+@example(((1 << 18) - 500, 2 * (1 << 18) + 100))
+def test_primes_upto_window_matches_filtered_full_sieve(window):
+    lo, hi = window
+    assert list(primes_upto(hi, lo)) == [p for p in prime_sieve(hi) if p >= lo]
 
 
 def test_primes_upto_is_cached_tuple():
