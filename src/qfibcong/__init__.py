@@ -16,7 +16,6 @@ from .congruence import (
     predicted_index,
     qfib_mod_proposition,
     residual_data,
-    s_sets,
     scan_range,
     verify_theorem,
 )
@@ -24,7 +23,6 @@ from .density import (
     DeltaEstimate,
     VCount,
     c_g,
-    degree_ratio_bounds,
     delta_truncated,
     epsilon_g,
     field_degree,
@@ -45,7 +43,6 @@ from .modarith import (
     factorize,
     is_prime,
     kronecker,
-    legendre,
     lsym5,
     moebius,
     multiplicative_order,
@@ -53,17 +50,16 @@ from .modarith import (
     reduce_rational,
     residual_index,
 )
-from .qanalogue import IntPoly, q_binomial_mod, q_binomial_poly, q_ratio
+from .qanalogue import IntPoly
 from .qfib import (
     fib,
     fib_mod,
-    g_value,
     qfib_mod_andrews,
     qfib_mod_recurrence,
     qfib_poly,
 )
 from .report import ScanReport, check_report, write_csv, write_json
-from .stats import OccurrenceReport, occurrence_histogram, target_index_census
+from .stats import OccurrenceReport, occurrence_histogram
 
 __all__ = [
     "BadValuation",
@@ -85,7 +81,6 @@ __all__ = [
     "VCount",
     "c_g",
     "check_report",
-    "degree_ratio_bounds",
     "delta_truncated",
     "epsilon_g",
     "euler_phi",
@@ -93,19 +88,14 @@ __all__ = [
     "fib",
     "fib_mod",
     "field_degree",
-    "g_value",
     "is_prime",
     "kronecker",
-    "legendre",
     "lsym5",
     "moebius",
     "multiplicative_order",
     "occurrence_histogram",
     "predicted_index",
     "prime_sieve",
-    "q_binomial_mod",
-    "q_binomial_poly",
-    "q_ratio",
     "qfib_mod_andrews",
     "qfib_mod_proposition",
     "qfib_mod_recurrence",
@@ -113,9 +103,7 @@ __all__ = [
     "reduce_rational",
     "residual_data",
     "residual_index",
-    "s_sets",
     "scan_range",
-    "target_index_census",
     "v_count",
     "verify_theorem",
     "write_csv",

@@ -84,14 +84,6 @@ class Inapplicable:
 
 
 @dataclass(frozen=True)
-class SSets:
-    """k in [0, I] with 2*k*ord = p - i mod 5, for i = 1, 2."""
-
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class CongruenceRecord:
     """One prime's verification outcome."""
 
@@ -146,16 +138,6 @@ def predicted_index(rd: ResidualData) -> int:
     return n
 
 
-def s_sets(rd: ResidualData) -> SSets:
-    """Materialize both index sets, intersected with [0, I] where C(I, k) lives."""
-    if not rd.applicable:
-        raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
-    p, d, idx = rd.p, rd.ord, rd.index
-    s1 = tuple(k for k in range(idx + 1) if (2 * k * d - (p - 1)) % 5 == 0)
-    s2 = tuple(k for k in range(idx + 1) if (2 * k * d - (p - 2)) % 5 == 0)
-    return SSets(s1, s2)
-
-
 def qfib_mod_proposition(rd: ResidualData) -> Residue:
     """F_p(alpha) mod p from the two S-set binomial sums.
 
@@ -200,14 +182,21 @@ def verify_theorem(
     alpha: Rational, p: int, paths: frozenset[str] = DEFAULT_PATHS
 ) -> CongruenceRecord | Inapplicable:
     """Check the congruence at one prime; optionally cross-check extra paths."""
-    _check_paths(paths, p)
+    _check_request(paths, p)
     rd = residual_data(alpha, p)
     if not rd.applicable:
         return Inapplicable(rd.reason, rd)
     return build_records([rd], paths)[0]
 
 
-def _check_paths(paths: frozenset[str], p_max: int) -> None:
+def _check_request(paths: frozenset[str], p_max: int) -> None:
+    """Refuse unknown routes and primes past a route's bound, before any work.
+
+    The recurrence always runs, so its bound holds for every request; checked
+    before residual data, which factors p - 1 and could take unbounded time.
+    """
+    if p_max > RECURRENCE_MAX_P:
+        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {p_max}")
     unknown = paths - ALL_PATHS
     if unknown:
         raise DomainError(f"unknown paths: {sorted(unknown)}")
@@ -320,12 +309,10 @@ def scan_range(
     Records depend only on (alpha, p) and are sorted by p after the merge,
     so the output is identical for any worker count.
     """
-    _check_paths(paths, p_max)
+    _check_request(paths, p_max)
     alpha = _require_alpha(alpha)
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
-    if p_max > RECURRENCE_MAX_P:
-        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got p_max = {p_max}")
     paths = paths | {"recurrence"}
     start = time.monotonic()
     parts, skipped = run_chunks(build_records, alpha, p_min, p_max, workers, paths)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import DomainError, InternalInvariantViolation
 from .modarith import (
     euler_phi,
-    is_prime,
     is_squarefree,
     kronecker,
     moebius,
@@ -50,44 +49,6 @@ def field_degree(g: int, s: int, r: int) -> int:
     if num % eps != 0:
         raise InternalInvariantViolation("degree formula did not divide evenly")
     return num // eps
-
-
-@dataclass(frozen=True)
-class DegreeRatioBounds:
-    """Verified growth of field degrees when the cyclotomic or Kummer layer deepens.
-
-    part1: [Q(zeta_ap, g^(1/b)) : Q(zeta_a, g^(1/b))], present when b | a;
-    must be >= (p-1)/2.  part2: [Q(zeta_a, g^(1/bp)) : Q(zeta_a, g^(1/b))],
-    present when bp | a; must equal p.
-    """
-
-    g: int
-    a: int
-    b: int
-    p: int
-    part1: Fraction | None
-    part1_holds: bool | None
-    part2: Fraction | None
-    part2_holds: bool | None
-
-
-def degree_ratio_bounds(g: int, a: int, b: int, p: int) -> DegreeRatioBounds:
-    """Compute both degree ratios via field_degree and check the bounds."""
-    _require_base(g)
-    if a < 2 or b < 2:
-        raise DomainError(f"need a, b >= 2, got a={a}, b={b}")
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"p must be an odd prime, got {p}")
-    part1 = part1_holds = part2 = part2_holds = None
-    if a % b == 0:
-        part1 = Fraction(field_degree(g, a * p, b), field_degree(g, a, b))
-        part1_holds = part1 >= Fraction(p - 1, 2)
-    if a % (b * p) == 0:
-        part2 = Fraction(field_degree(g, a, b * p), field_degree(g, a, b))
-        part2_holds = part2 == p
-    if part1 is None and part2 is None:
-        raise DomainError(f"neither b | a nor bp | a holds for a={a}, b={b}, p={p}")
-    return DegreeRatioBounds(g, a, b, p, part1, part1_holds, part2, part2_holds)
 
 
 def quadratic_discriminant(g: int) -> int:
@@ -242,25 +203,3 @@ def v_count(g: int, a: int, d: int, t: int, x: int, collect_witnesses: bool = Fa
             if collect_witnesses:
                 hits.append(p)
     return VCount(g, a, d, t, x, count, tuple(hits))
-
-
-def consistency_report(g: int, a: int, d: int, t: int, x: int, n_max: int = 200) -> dict:
-    """Non-gating comparison of the empirical rate against the truncated density.
-
-    Convergence speed is outside what the truncation certifies, so this
-    records the numbers without asserting anything about their ratio.
-    """
-    est = delta_truncated(g, a, d, t, n_max)
-    vc = v_count(g, a, d, t, x)
-    pi_x = len(primes_upto(x))
-    rate = Fraction(vc.count, pi_x) if pi_x else Fraction(0)
-    central = est.partial_sum
-    return {
-        "g": g, "a": a, "d": d, "t": t, "x": x, "truncation": n_max,
-        "empirical_count": vc.count,
-        "primes_below_x": pi_x,
-        "empirical_rate": float(rate),
-        "truncated_density": float(central),
-        "ratio": float(rate / central) if central else None,
-        "within_factor_2": bool(central and central / 2 <= rate <= central * 2),
-    }

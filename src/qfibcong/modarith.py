@@ -169,19 +169,6 @@ def factorize(n: int) -> Factorization:
     return sorted(factors.items())
 
 
-def mod_pow(base: Residue, exp: int) -> Residue:
-    """base**exp in Z/pZ; exp = 0 yields 1 even for base 0, by convention."""
-    if exp < 0:
-        raise DomainError("mod_pow needs a non-negative exponent")
-    return Residue(pow(base.value, exp, base.modulus), base.modulus)
-
-
-def mod_inv(a: Residue) -> Residue:
-    if a.value == 0:
-        raise NotInvertible(f"0 mod {a.modulus} has no inverse")
-    return Residue(pow(a.value, -1, a.modulus), a.modulus)
-
-
 def reduce_rational(alpha: Rational, p: int) -> Residue:
     """The image of alpha under Z_(p) -> Z/pZ; requires v_p(alpha) = 0."""
     num, den = alpha.numerator, alpha.denominator
@@ -190,14 +177,6 @@ def reduce_rational(alpha: Rational, p: int) -> Residue:
     if den % p == 0:
         raise BadValuation("negative", f"{p} divides denominator of {alpha}")
     return Residue(num * pow(den, -1, p) % p, p)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion, p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"legendre needs an odd prime, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
 
 
 def lsym5(m: int) -> int:

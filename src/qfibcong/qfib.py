@@ -3,18 +3,14 @@
 Routes: the defining recurrence (exact polynomials and mod p), the
 explicit alternating binomial sum evaluated through the base-d reduction,
 and the ordinary Fibonacci numbers the q = 1 specialization recovers.
-Also the integer double sums G_{n,m} that tie the congruence's two sides
-together.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError, InternalInvariantViolation
-from .modarith import Residue, lsym5
+from .modarith import Residue
 from .qanalogue import IntPoly, _context
 
 _QFIB_POLYS: list[IntPoly] = [IntPoly.zero(), IntPoly.one()]
@@ -156,21 +152,3 @@ def fib_mod(n: int, p: int) -> Residue:
         else:
             a, b = c, d
     return Residue(a, p)
-
-
-def g_value(n: int, m: int) -> int:
-    """The integer G_{n,m}: a signed difference of two binomial sums over 5Z.
-
-    (-1)**n * sum over k in 5Z of C(n, 3n+k) - C(n, 3(n - s*m)+k), where s
-    is the mod-5 quadratic symbol of m.  Exact integers: the identities it
-    satisfies (additive recurrence, Fibonacci link) are integer identities.
-    """
-    if n < 1:
-        raise DomainError(f"g_value needs n >= 1, got {n}")
-    s = lsym5(m)
-    base1 = 3 * n
-    base2 = 3 * (n - s * m)
-    sum1 = sum(math.comb(n, i) for i in range(n + 1) if (i - base1) % 5 == 0)
-    sum2 = sum(math.comb(n, i) for i in range(n + 1) if (i - base2) % 5 == 0)
-    sign = -1 if n % 2 else 1
-    return sign * (sum1 - sum2)

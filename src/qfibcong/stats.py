@@ -14,10 +14,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import predicted_index, qfib_mod_proposition, residual_data, run_chunks
-from .density import _require_base, v_count
-from .errors import DomainError, InternalInvariantViolation, TheoremViolation
-from .modarith import is_prime, primes_upto
+from .congruence import predicted_index, qfib_mod_proposition, run_chunks
+# Unused here; perfbench/tests/test_perfbench.py checks this binding is congruence's.
+from .congruence import residual_data  # noqa: F401
+from .density import _require_base
+from .errors import DomainError, TheoremViolation
 from .qfib import fib, fib_mod
 
 DEFAULT_WITNESS_CAP = 10_000
@@ -106,31 +107,3 @@ def occurrence_histogram(
         by_index_witnesses={n: tuple(sorted(ps)[:witness_cap]) for n, ps in sorted(witnesses.items())},
         by_value_counts=by_value,
     )
-
-
-def target_index_census(g: int, x: int, t_list: list[int]) -> dict[int, int]:
-    """Count primes p <= x with I_p(g) = t and p = 2 mod 5 for each requested t.
-
-    Counted by a direct scan over residual data, then cross-checked
-    against the progression-sieve count, which defines the same set since
-    p = 1 + t mod 5t forces p = 2 mod 5 when t = 1 mod 5.
-    """
-    _require_base(g)
-    for t in t_list:
-        if not is_prime(t) or t % 5 != 1:
-            raise DomainError(f"census targets must be primes = 1 mod 5, got {t}")
-    wanted = set(t_list)
-    counts = {t: 0 for t in t_list}
-    for p in primes_upto(x):
-        if p == 2 or g % p == 0 or p % 5 != 2:
-            continue
-        rd = residual_data(Fraction(g), p)
-        if rd.index in wanted:
-            counts[rd.index] += 1
-    for t in t_list:
-        independent = v_count(g, 1, 5, t, x).count
-        if counts[t] != independent:
-            raise InternalInvariantViolation(
-                f"census({t}) = {counts[t]} disagrees with progression count {independent}"
-            )
-    return counts

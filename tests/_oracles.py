@@ -2,10 +2,19 @@
 
 Everything here is deliberately naive: direct sums, trial division, and
 row-by-row Pascal recurrences, sharing no code with the library paths
-they check.
+they check.  The paper's lemma objects at the end (the Legendre symbol,
+the unit ratios C_k and the integer sums G_{n,m}) are checked against
+the shipped routes: kronecker, the q-binomial row p - 1 and the
+recurrence.
 """
 
+import math
+
 import numpy as np
+
+from qfibcong.errors import DomainError
+from qfibcong.modarith import Residue, is_prime, lsym5
+from qfibcong.qanalogue import QLucasContext, _context
 
 
 def primes_trial(limit: int) -> list[int]:
@@ -81,6 +90,108 @@ def fib_seq(n_max: int) -> list[int]:
 
 
 def phi_brute(n: int) -> int:
-    import math
-
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) by Euler's criterion, p an odd prime."""
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"legendre needs an odd prime, got {p}")
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def q_ratio(k: int, l: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
+    """The residue of [k]_alpha / [l]_alpha for k = l mod ord(alpha).
+
+    When [l]_alpha is a unit this is a plain quotient of evaluated
+    q-integers; when [l]_alpha vanishes (ord | l) the common geometric
+    factor cancels and the value is (k/ord) / (l/ord) mod p.
+    """
+    if ctx is None:
+        ctx = _context(alpha.modulus, alpha.value)
+    p, d = ctx.p, ctx.d
+    if not 1 <= l <= p - 1:
+        raise DomainError(f"q_ratio needs 1 <= l <= p-1, got l = {l}")
+    if k < 1:
+        raise DomainError(f"q_ratio needs k >= 1, got {k}")
+    if (k - l) % d != 0:
+        raise DomainError(f"q_ratio needs k = l mod {d}")
+    if l % d == 0:
+        return Residue((k // d) % p * pow((l // d) % p, -1, p) % p, p)
+    return Residue(ctx.q_int(k) * pow(ctx.q_int(l), -1, p) % p, p)
+
+
+def c_k(k: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
+    """The ratio ([p-k-1]...[p-k-d]) / ([k+d]...[k+1]) at alpha, as a residue.
+
+    Each denominator factor [k+i] is paired with the unique numerator
+    factor [p-k-j] in the same class mod d, and the pair is resolved by
+    q_ratio; the product of the pairs is the value.
+    """
+    if ctx is None:
+        ctx = _context(alpha.modulus, alpha.value)
+    p, d = ctx.p, ctx.d
+    if not 0 <= k <= p - 1 - d:
+        raise DomainError(f"c_k needs 0 <= k <= p-1-ord, got k = {k}")
+    out = 1
+    for i in range(1, d + 1):
+        j = (p - 2 * k - i) % d
+        if j == 0:
+            j = d
+        out = out * q_ratio(p - k - j, k + i, alpha, ctx).value % p
+    return Residue(out, p)
+
+
+def c_k_all(alpha: Residue) -> list[int]:
+    """C_k for every k in [0, p-1-d] in one O(p) pass.
+
+    Same pairing as c_k, regrouped: with u[i] = [i]_alpha when d does not
+    divide i and u[i] = i/d otherwise, every pair ratio is a quotient of
+    u-values, so C_k is a quotient of prefix products of u.
+    """
+    ctx = _context(alpha.modulus, alpha.value)
+    p, d, a = ctx.p, ctx.d, ctx.a
+    u = [1] * p  # u[0] unused
+    if a == 1:
+        for i in range(1, p):
+            u[i] = i % p
+    else:
+        inv_am1 = pow(a - 1, -1, p)
+        apow = 1
+        for i in range(1, p):
+            apow = apow * a % p
+            u[i] = i // d % p if i % d == 0 else (apow - 1) * inv_am1 % p
+    prefix = [1] * p
+    for i in range(1, p):
+        prefix[i] = prefix[i - 1] * u[i] % p
+    inv_prefix = [1] * p
+    running = pow(prefix[p - 1], -1, p)
+    for i in range(p - 1, -1, -1):
+        inv_prefix[i] = running
+        if i:
+            running = running * u[i] % p
+    out = []
+    for k in range(p - d):
+        num = prefix[p - k - 1] * inv_prefix[p - k - d - 1] % p
+        den_inv = inv_prefix[k + d] * prefix[k] % p
+        out.append(num * den_inv % p)
+    return out
+
+
+def g_value(n: int, m: int) -> int:
+    """The integer G_{n,m}: a signed difference of two binomial sums over 5Z.
+
+    (-1)**n * sum over k in 5Z of C(n, 3n+k) - C(n, 3(n - s*m)+k), where s
+    is the mod-5 quadratic symbol of m.  Exact integers: the identities it
+    satisfies (additive recurrence, Fibonacci link) are integer identities.
+    """
+    if n < 1:
+        raise DomainError(f"g_value needs n >= 1, got {n}")
+    s = lsym5(m)
+    base1 = 3 * n
+    base2 = 3 * (n - s * m)
+    sum1 = sum(math.comb(n, i) for i in range(n + 1) if (i - base1) % 5 == 0)
+    sum2 = sum(math.comb(n, i) for i in range(n + 1) if (i - base2) % 5 == 0)
+    sign = -1 if n % 2 else 1
+    return sign * (sum1 - sum2)

@@ -12,14 +12,14 @@ import time
 from fractions import Fraction
 
 from qfibcong.congruence import ALL_PATHS, scan_range
-from qfibcong.density import degree_ratio_bounds, delta_truncated, field_degree
+from qfibcong.density import delta_truncated, field_degree
 from qfibcong.modarith import Residue, lsym5, multiplicative_order, primes_upto
-from qfibcong.qanalogue import c_k_all, q_binomial_mod, q_binomial_poly, q_ratio
-from qfibcong.qfib import fib, g_value
+from qfibcong.qanalogue import QLucasContext
+from qfibcong.qfib import fib
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
 
-from _oracles import qpascal_table
+from _oracles import c_k_all, g_value, q_ratio, qpascal_table
 
 
 def report_line(capsys, num, ok, detail=""):
@@ -119,7 +119,8 @@ def test_criterion_4_unit_ratio_suite(capsys):
                 if got != want:
                     failures.append(f"q_ratio({k},{l}) wrong at p={p}, a={a}")
             # top row: zero off multiples of d, plain binomial on them
-            row = [q_binomial_mod(p - 1, k, alpha, d).value for k in range(p)]
+            ctx = QLucasContext(alpha)
+            row = [ctx.q_binomial(p - 1, k) for k in range(p)]
             for k in range(p):
                 want = math.comb(idx, k // d) % p if k % d == 0 else 0
                 if row[k] != want:
@@ -148,11 +149,12 @@ def test_criterion_5_q_lucas_oracle(capsys):
         if p == 2:
             continue
         for a in range(2, p):
-            d = multiplicative_order(Residue(a, p))
+            ctx = QLucasContext(Residue(a, p))
+            table = qpascal_table(p - 1, a, p)
             for n in range(p):
                 for m in range(n + 1):
-                    want = q_binomial_poly(n, m).eval_mod(a, p)
-                    if q_binomial_mod(n, m, Residue(a, p), d).value != want:
+                    want = int(table[n][m])
+                    if ctx.q_binomial(n, m) != want:
                         failures.append(f"exhaustive mismatch p={p}, a={a}, n={n}, m={m}")
     rng = random.Random(2026)
     odd_primes = [p for p in primes_upto(200) if p > 2]
@@ -160,12 +162,12 @@ def test_criterion_5_q_lucas_oracle(capsys):
     while draws < 10**4:
         p = rng.choice(odd_primes)
         a = rng.randrange(2, p)
-        d = multiplicative_order(Residue(a, p))
+        ctx = QLucasContext(Residue(a, p))
         table = qpascal_table(p - 1, a, p)
         for _ in range(100):
             n = rng.randrange(p)
             m = rng.randrange(n + 2)
-            got = q_binomial_mod(n, m, Residue(a, p), d).value
+            got = ctx.q_binomial(n, m)
             want = int(table[n][m]) if m <= n else 0
             if got != want:
                 failures.append(f"random mismatch p={p}, a={a}, n={n}, m={m}")
@@ -204,11 +206,14 @@ def test_criterion_7_degree_formulas(capsys):
         b = rng.randrange(2, 30)
         p = rng.choice(odd_primes)
         a = b * p * rng.randrange(1, 20)
-        out = degree_ratio_bounds(g, a, b, p)
-        if not out.part1_holds:
-            failures.append(f"part 1 fails: g={g}, a={a}, b={b}, p={p}, ratio={out.part1}")
-        if not out.part2_holds:
-            failures.append(f"part 2 fails: g={g}, a={a}, b={b}, p={p}, ratio={out.part2}")
+        # [Q(zeta_ap, g^(1/b)) : Q(zeta_a, g^(1/b))] >= (p-1)/2 and
+        # [Q(zeta_a, g^(1/bp)) : Q(zeta_a, g^(1/b))] = p
+        part1 = Fraction(field_degree(g, a * p, b), field_degree(g, a, b))
+        part2 = Fraction(field_degree(g, a, b * p), field_degree(g, a, b))
+        if part1 < Fraction(p - 1, 2):
+            failures.append(f"part 1 fails: g={g}, a={a}, b={b}, p={p}, ratio={part1}")
+        if part2 != p:
+            failures.append(f"part 2 fails: g={g}, a={a}, b={b}, p={p}, ratio={part2}")
     ok = not failures
     report_line(capsys, 7, ok, "" if ok else "; ".join(failures[:3]))
     assert ok, failures

@@ -37,7 +37,7 @@ def test_qfib_missing_flags(capsys):
     assert code == 2 and "usage" in err or "need" in err
 
 
-def test_verify_exit_codes(capsys):
+def test_verify_exit_codes(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--alpha", "2", "--p", "7")
     assert code == 0 and err == ""
     assert out == (
@@ -56,6 +56,15 @@ def test_verify_exit_codes(capsys):
     # an unknown route is a usage error even at a prime where the pair is inapplicable
     code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "11", "--paths", "nonsense")
     assert code == 2 and "nonsense" in err
+    # a prime past the recurrence bound is refused before its residual data, which
+    # would factor p - 1 = 2 * 1000000000000000009 * 1000000000000004189 by Pollard rho
+    def no_residual_data(*args):
+        raise AssertionError("residual data computed before the bound check")
+
+    monkeypatch.setattr(congruence, "residual_data", no_residual_data)
+    code, _, err = run(capsys, "verify", "--alpha", "2",
+                       "--p", "2000000000000008396000000000000075403")
+    assert code == 2 and "3037000500" in err
 
 
 def test_scan_refuses_bad_input_before_any_work(capsys):

@@ -12,7 +12,6 @@ from qfibcong.congruence import (
     predicted_index,
     qfib_mod_proposition,
     residual_data,
-    s_sets,
     scan_range,
     split_chunks,
     verify_theorem,
@@ -73,25 +72,12 @@ def test_predicted_index_examples():
         predicted_index(residual_data(Fraction(2), 11))
 
 
-def test_s_sets_partition():
-    for p, a in ((7, 2), (29, 12), (101, 3)):
-        rd = residual_data(Fraction(a), p)
-        if not rd.applicable:
-            continue
-        sets = s_sets(rd)
-        for k in sets.s1:
-            assert (2 * k * rd.ord - (p - 1)) % 5 == 0
-        for k in sets.s2:
-            assert (2 * k * rd.ord - (p - 2)) % 5 == 0
-        assert not set(sets.s1) & set(sets.s2)
-
-
 def test_proposition_handles_negative_exponents():
     # p = 29, alpha = 12: ord 4, I = 7; k = 6 makes (p-1-2k*ord)/10 = -2,
     # which must act through alpha**(p-1) = 1
     rd = residual_data(Fraction(12), 29)
     assert (rd.ord, rd.index) == (4, 7)
-    assert 6 in s_sets(rd).s1
+    assert (2 * 6 * rd.ord - (29 - 1)) % 5 == 0  # k = 6 lies in S1
     got = qfib_mod_proposition(rd).value
     from qfibcong.modarith import Residue
 
@@ -106,7 +92,8 @@ def test_proposition_matches_recurrence_exhaustively():
             rd = residual_data(Fraction(a), p)
             if not rd.applicable:
                 continue
-            multi += len(s_sets(rd).s1) >= 2
+            s1 = [k for k in range(rd.index + 1) if (2 * k * rd.ord - (p - 1)) % 5 == 0]
+            multi += len(s1) >= 2
             want = qfib_mod_recurrence(p, rd.alpha_res).value
             assert qfib_mod_proposition(rd).value == want, (a, p)
     assert multi > 100

@@ -6,8 +6,6 @@ import pytest
 
 from qfibcong.density import (
     c_g,
-    consistency_report,
-    degree_ratio_bounds,
     delta_truncated,
     epsilon_g,
     field_degree,
@@ -54,21 +52,11 @@ def test_field_degree_divides_exactly_randomized():
 
 
 def test_degree_ratio_bounds_examples():
-    b1 = degree_ratio_bounds(2, 6, 3, 5)
-    assert b1.part1 == 4 and b1.part1_holds
-    b2 = degree_ratio_bounds(2, 30, 3, 5)
-    assert b2.part2 == 5 and b2.part2_holds
-    b3 = degree_ratio_bounds(5, 10, 2, 3)
-    assert b3.part1 >= 1 and b3.part1_holds
-
-
-def test_degree_ratio_bounds_domain():
-    with pytest.raises(DomainError):
-        degree_ratio_bounds(2, 1, 3, 5)
-    with pytest.raises(DomainError):
-        degree_ratio_bounds(2, 6, 3, 4)
-    with pytest.raises(DomainError):
-        degree_ratio_bounds(2, 7, 3, 5)  # neither 3 | 7 nor 15 | 7
+    # [Q(zeta_ap, g^(1/b)) : Q(zeta_a, g^(1/b))] >= (p-1)/2 and, when bp | a,
+    # [Q(zeta_a, g^(1/bp)) : Q(zeta_a, g^(1/b))] = p
+    assert Fraction(field_degree(2, 6 * 5, 3), field_degree(2, 6, 3)) == 4
+    assert Fraction(field_degree(2, 30, 3 * 5), field_degree(2, 30, 3)) == 5
+    assert Fraction(field_degree(5, 10 * 3, 2), field_degree(5, 10, 2)) >= 1
 
 
 def test_quadratic_discriminant():
@@ -178,10 +166,3 @@ def test_v_count_partitions_indexed_primes():
                 direct += 1
         total = sum(v_count(2, a, 5, t, x).count for a in range(5))
         assert total == direct
-
-
-def test_consistency_report_shape():
-    out = consistency_report(2, 1, 5, 3, 10**4, n_max=50)
-    assert out["empirical_count"] >= 0
-    assert out["truncated_density"] > 0
-    assert isinstance(out["within_factor_2"], bool)

@@ -13,10 +13,7 @@ from qfibcong.modarith import (
     is_prime,
     is_squarefree,
     kronecker,
-    legendre,
     lsym5,
-    mod_inv,
-    mod_pow,
     moebius,
     multiplicative_order,
     prime_sieve,
@@ -25,7 +22,7 @@ from qfibcong.modarith import (
     residual_index,
 )
 
-from _oracles import order_brute, phi_brute, primes_trial
+from _oracles import legendre, order_brute, phi_brute, primes_trial
 
 
 def test_prime_sieve_matches_trial_division():
@@ -102,16 +99,6 @@ def test_residue_normalization():
     assert int(Residue(3, 7)) == 3
     with pytest.raises(DomainError):
         Residue(0, 1)
-
-
-def test_mod_pow_and_inv():
-    assert mod_pow(Residue(2, 7), 10).value == pow(2, 10, 7)
-    assert mod_pow(Residue(0, 7), 0).value == 1
-    with pytest.raises(DomainError):
-        mod_pow(Residue(2, 7), -1)
-    assert mod_inv(Residue(3, 7)).value == 5
-    with pytest.raises(NotInvertible):
-        mod_inv(Residue(0, 7))
 
 
 def test_reduce_rational():

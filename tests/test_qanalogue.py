@@ -4,22 +4,10 @@ import pytest
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, multiplicative_order
-from qfibcong.qanalogue import (
-    QBINOM_MAX_N,
-    IntPoly,
-    QLucasContext,
-    _context,
-    c_k,
-    c_k_all,
-    q_binomial_mod,
-    q_binomial_poly,
-    q_factorial,
-    q_integer,
-    q_ratio,
-)
+from qfibcong.qanalogue import IntPoly, QLucasContext, _context
 from qfibcong.qfib import qfib_mod_andrews, qfib_mod_recurrence
 
-from _oracles import primes_trial, qpascal_table
+from _oracles import c_k, c_k_all, primes_trial, q_ratio, qpascal_table
 
 
 def poly(*coeffs):
@@ -28,72 +16,35 @@ def poly(*coeffs):
 
 def test_intpoly_basics():
     p = poly(1, 2, 1)
-    assert p.degree == 2
-    assert p(3) == 16
     assert p.eval_mod(3, 7) == 2
-    assert (p - p).is_zero
+    assert p + poly(0, -2, -1) == poly(1)
+    assert (p + poly(-1, -2, -1)).is_zero
     assert p.shifted(2).coeffs == (0, 0, 1, 2, 1)
     assert str(poly(1, 1, 2)) == "1 + q + 2*q^2"
     assert str(IntPoly.zero()) == "0"
 
 
 def test_q_integer():
-    assert q_integer(1) == IntPoly.one()
-    assert q_integer(3) == poly(1, 1, 1)
-    for n in range(1, 51):
-        assert q_integer(n)(1) == n
-    with pytest.raises(DomainError):
-        q_integer(0)
-
-
-def test_q_binomial_poly_examples():
-    assert q_binomial_poly(4, 2) == poly(1, 1, 2, 1, 1)
-    assert q_binomial_poly(3, 4).is_zero
-    assert q_binomial_poly(5, -1).is_zero
-    for n in range(10):
-        assert q_binomial_poly(n, 0) == IntPoly.one()
-
-
-def test_q_binomial_poly_specializes_to_binomial():
-    for n in range(61):
-        for m in range(n + 1):
-            assert q_binomial_poly(n, m)(1) == math.comb(n, m)
-
-
-def test_q_binomial_poly_symmetry():
-    for n in range(41):
-        for m in range(n + 1):
-            assert q_binomial_poly(n, m) == q_binomial_poly(n, n - m)
-
-
-def test_q_binomial_poly_is_bounded():
-    assert QBINOM_MAX_N == 64
-    assert q_binomial_poly(64, 32)(1) == math.comb(64, 32)
-    with pytest.raises(DomainError):
-        q_binomial_poly(65, 1)
-
-
-def test_q_binomial_poly_product_formula():
-    # [n]! = [n, m] * [m]! * [n-m]! pins the q-Pascal variant to the product form
-    for n in range(21):
-        for m in range(n + 1):
-            lhs = q_factorial(n)
-            rhs = q_binomial_poly(n, m) * q_factorial(m) * q_factorial(n - m)
-            assert lhs == rhs
+    # [n]_a = 1 + a + ... + a**(n-1) mod p, which is n mod p at a = 1
+    for p, a in ((7, 2), (13, 5), (31, 1)):
+        ctx = QLucasContext(Residue(a, p))
+        for n in range(1, 3 * p):
+            assert ctx.q_int(n) == sum(pow(a, i, p) for i in range(n)) % p
 
 
 def test_q_binomial_mod_examples():
-    alpha = Residue(2, 7)
-    assert q_binomial_mod(6, 3, alpha, 3).value == 2
-    assert q_binomial_poly(6, 3).eval_mod(2, 7) == 2
-    assert q_binomial_mod(5, 0, alpha, 3).value == 1
-    assert q_binomial_mod(4, 9, alpha, 3).value == 0
-    assert q_binomial_mod(4, -2, alpha, 3).value == 0
+    ctx = QLucasContext(Residue(2, 7))
+    assert ctx.q_binomial(6, 3) == 2
+    assert qpascal_table(6, 2, 7)[6][3] == 2
+    assert ctx.q_binomial(5, 0) == 1
+    assert ctx.q_binomial(4, 9) == 0
+    assert ctx.q_binomial(4, -2) == 0
 
 
 def test_q_binomial_mod_requires_true_order():
+    # the Andrews route reduces its q-binomials base d, so it refuses a wrong order
     with pytest.raises(DomainError):
-        q_binomial_mod(6, 3, Residue(2, 7), 4)
+        qfib_mod_andrews(7, Residue(2, 7), 4)
 
 
 def test_q_binomial_mod_row_p_minus_1():
@@ -104,8 +55,9 @@ def test_q_binomial_mod_row_p_minus_1():
         for a in range(2, p):
             d = multiplicative_order(Residue(a, p))
             idx = (p - 1) // d
+            ctx = QLucasContext(Residue(a, p))
             for k in range(p):
-                v = q_binomial_mod(p - 1, k, Residue(a, p), d).value
+                v = ctx.q_binomial(p - 1, k)
                 expected = math.comb(idx, k // d) % p if k % d == 0 else 0
                 assert v == expected
 
@@ -113,11 +65,11 @@ def test_q_binomial_mod_row_p_minus_1():
 def test_q_binomial_mod_against_pascal_oracle():
     for p in (3, 5, 7, 11, 13, 17):
         for a in range(2, p):
-            d = multiplicative_order(Residue(a, p))
+            ctx = QLucasContext(Residue(a, p))
             table = qpascal_table(p - 1, a, p)
             for n in range(p):
                 for m in range(n + 1):
-                    assert q_binomial_mod(n, m, Residue(a, p), d).value == int(table[n][m])
+                    assert ctx.q_binomial(n, m) == int(table[n][m])
 
 
 def test_q_ratio_examples():

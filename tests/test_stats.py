@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qfibcong.congruence import predicted_index, residual_data
-from qfibcong.density import v_count
 from qfibcong.errors import DomainError
 from qfibcong.modarith import primes_upto
-from qfibcong.stats import occurrence_histogram, target_index_census, value_key
+from qfibcong.stats import occurrence_histogram, value_key
 
 
 def test_histogram_hand_table():
@@ -77,14 +76,3 @@ def test_histogram_domain():
         occurrence_histogram(4, 100)
     with pytest.raises(DomainError):
         occurrence_histogram(2, 1)
-
-
-def test_target_index_census():
-    assert target_index_census(2, 100, [11]) == {11: 0}
-    counts = target_index_census(2, 20000, [11, 31])
-    assert counts[11] == v_count(2, 1, 5, 11, 20000).count
-    assert counts[31] == v_count(2, 1, 5, 31, 20000).count
-    with pytest.raises(DomainError):
-        target_index_census(2, 100, [7])  # 7 is not 1 mod 5
-    with pytest.raises(DomainError):
-        target_index_census(2, 100, [21])  # 21 is not prime
