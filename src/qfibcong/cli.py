@@ -15,9 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__, congruence, density, report, stats
-from .errors import QFibError, TheoremViolation
-from .modarith import reduce_rational
-from .qfib import qfib_mod_recurrence, qfib_poly
+from .errors import DomainError, QFibError, TheoremViolation
+from .modarith import is_prime, reduce_rational
+from .qfib import RECURRENCE_MAX_P, qfib_mod_recurrence, qfib_poly
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -26,7 +26,11 @@ EXIT_INAPPLICABLE = 3
 EXIT_IO = 4
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_paths(text: str) -> frozenset[str]:
+    return frozenset(part.strip() for part in text.split(",") if part.strip())
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     parser = argparse.ArgumentParser(
         prog="qfibcong",
         description="q-Fibonacci congruence toolkit: evaluate, verify, scan, estimate densities.",
@@ -35,34 +39,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="FILE",
                         help="flat key = value file supplying defaults; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    paths = dict(type=_parse_paths, default=congruence.DEFAULT_PATHS,
+                 help=f"comma list from: {','.join(sorted(congruence.ALL_PATHS))}")
+    workers = dict(type=int, default=os.environ.get("QFIB_WORKERS", "1"))
 
     p_qfib = sub.add_parser("qfib", help="evaluate F_n(q) exactly or mod p")
     p_qfib.add_argument("n", type=int)
-    p_qfib.add_argument("--poly", action="store_true", default=None,
-                        help="print the exact polynomial")
+    p_qfib.add_argument("--poly", action="store_true", help="print the exact polynomial")
     p_qfib.add_argument("--q", metavar="RAT", help="rational evaluation point")
     p_qfib.add_argument("--p", type=int, help="odd prime modulus")
 
     p_verify = sub.add_parser("verify", help="check the congruence at one prime")
     p_verify.add_argument("--alpha", metavar="RAT", required=True)
     p_verify.add_argument("--p", type=int, required=True)
-    p_verify.add_argument("--paths", help="comma list from: recurrence,andrews,proposition,poly")
+    p_verify.add_argument("--paths", **paths)
 
     p_scan = sub.add_parser("scan", help="verify the congruence over a prime range")
     p_scan.add_argument("--alpha", metavar="RAT", required=True)
-    p_scan.add_argument("--pmin", type=int)
+    p_scan.add_argument("--pmin", type=int, default=3)
     p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument("--paths", help="comma list from: recurrence,andrews,proposition,poly")
-    p_scan.add_argument("--workers", type=int)
+    p_scan.add_argument("--paths", **paths)
+    p_scan.add_argument("--workers", **workers)
     p_scan.add_argument("--out", metavar="FILE", help="write a JSON report")
     p_scan.add_argument("--csv", metavar="FILE", help="write a flat CSV of records")
 
     p_density = sub.add_parser("density", help="truncated density with a certified tail bound")
     p_density.add_argument("--g", type=int, required=True)
     p_density.add_argument("--t", type=int, required=True)
-    p_density.add_argument("--a", type=int)
-    p_density.add_argument("--d", type=int)
-    p_density.add_argument("--trunc", type=int, metavar="N")
+    p_density.add_argument("--a", type=int, default=1)
+    p_density.add_argument("--d", type=int, default=5)
+    p_density.add_argument("--trunc", type=int, default=200, metavar="N")
     p_density.add_argument("--empirical-x", type=int, metavar="X",
                            help="also count matching primes up to X")
     p_density.add_argument("--out", metavar="FILE")
@@ -70,18 +76,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="histogram of predicted Fibonacci indices")
     p_stats.add_argument("--g", type=int, required=True)
     p_stats.add_argument("--x", type=int, required=True)
-    p_stats.add_argument("--workers", type=int)
+    p_stats.add_argument("--workers", **workers)
     p_stats.add_argument("--out", metavar="FILE")
 
     p_check = sub.add_parser("check", help="revalidate a previously written report")
     p_check.add_argument("file")
 
-    return parser
+    return parser, sub
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     config: dict[str, str] = {}
     with open(path) as fh:
         for line in fh:
@@ -95,43 +99,36 @@ def _load_config(path: str | None) -> dict[str, str]:
     return config
 
 
-def _resolve(args, config, key, convert, default):
-    """Flag if given, else config entry, else the hard default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return convert(config[key])
-    return default
+def _config_defaults(args: argparse.Namespace, config: dict[str, str]) -> dict[str, object]:
+    """The config entries that name one of the parsed command's options.
+
+    A value stays a string for the option's type= to convert; a boolean
+    flag's entry is true or false.  A positional is always given, so an
+    entry naming it changes nothing.
+    """
+    own = vars(args).keys() - {"command", "config"}
+    return {key: value.lower() == "true" if isinstance(getattr(args, key), bool) else value
+            for key, value in config.items() if key in own}
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("QFIB_WORKERS", "1"))
-
-
-def _parse_paths(text: str | None) -> frozenset[str]:
-    if not text:
-        return congruence.DEFAULT_PATHS
-    return frozenset(part.strip() for part in text.split(",") if part.strip())
-
-
-def _cmd_qfib(args, config) -> int:
-    if _resolve(args, config, "poly", lambda s: s.lower() == "true", False):
+def _cmd_qfib(args) -> int:
+    if args.poly:
         print(qfib_poly(args.n))
         return EXIT_OK
-    q = _resolve(args, config, "q", str, None)
-    p = _resolve(args, config, "p", int, None)
-    if q is None or p is None:
+    if args.q is None or args.p is None:
         print("qfib: need --poly, or both --q and --p", file=sys.stderr)
         return EXIT_USAGE
-    alpha = reduce_rational(Fraction(q), p)
+    if args.p == 2 or not is_prime(args.p):
+        raise DomainError(f"p must be an odd prime, got {args.p}")
+    if args.n > RECURRENCE_MAX_P:
+        raise DomainError(f"qfib mod p needs N <= {RECURRENCE_MAX_P}, got {args.n}")
+    alpha = reduce_rational(Fraction(args.q), args.p)
     print(qfib_mod_recurrence(args.n, alpha).value)
     return EXIT_OK
 
 
-def _cmd_verify(args, config) -> int:
-    paths = _parse_paths(_resolve(args, config, "paths", str, None))
-    result = congruence.verify_theorem(Fraction(args.alpha), args.p, paths)
+def _cmd_verify(args) -> int:
+    result = congruence.verify_theorem(Fraction(args.alpha), args.p, args.paths)
     if isinstance(result, congruence.Inapplicable):
         print(f"inapplicable: {result.reason.value} (alpha = {args.alpha}, p = {args.p})")
         return EXIT_INAPPLICABLE
@@ -146,27 +143,21 @@ def _cmd_verify(args, config) -> int:
     return EXIT_OK if result.match and result.paths_agree else EXIT_MISMATCH
 
 
-def _cmd_scan(args, config) -> int:
+def _cmd_scan(args) -> int:
     rep = congruence.scan_range(
-        Fraction(args.alpha),
-        _resolve(args, config, "pmin", int, 3),
-        args.pmax,
-        paths=_parse_paths(_resolve(args, config, "paths", str, None)),
-        workers=_resolve(args, config, "workers", int, _default_workers()),
+        Fraction(args.alpha), args.pmin, args.pmax, paths=args.paths, workers=args.workers
     )
     payload = report.scan_report_dict(rep)
     summary = payload["summary"]
     print(f"scan alpha = {rep.alpha}, range [{rep.p_min}, {rep.p_max}], paths {','.join(rep.paths)}")
     print(f"checked = {summary['checked']}, matched = {summary['matched']}, "
           f"mismatched = {summary['mismatched']}, skipped = {summary['skipped']}")
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        report.write_json(payload, out)
-        print(f"report written to {out}")
-    csv_path = _resolve(args, config, "csv", str, None)
-    if csv_path:
-        report.write_csv(rep, csv_path)
-        print(f"records written to {csv_path}")
+    if args.out:
+        report.write_json(payload, args.out)
+        print(f"report written to {args.out}")
+    if args.csv:
+        report.write_csv(rep, args.csv)
+        print(f"records written to {args.csv}")
     disagreeing = [r.p for r in rep.records if not r.paths_agree]
     if disagreeing:
         print(f"error: the routes disagree at {len(disagreeing)} primes, first p = {disagreeing[0]}",
@@ -174,47 +165,36 @@ def _cmd_scan(args, config) -> int:
     return EXIT_OK if rep.all_match and not disagreeing else EXIT_MISMATCH
 
 
-def _cmd_density(args, config) -> int:
-    est = density.delta_truncated(
-        args.g,
-        _resolve(args, config, "a", int, 1),
-        _resolve(args, config, "d", int, 5),
-        args.t,
-        _resolve(args, config, "trunc", int, 200),
-    )
+def _cmd_density(args) -> int:
+    est = density.delta_truncated(args.g, args.a, args.d, args.t, args.trunc)
     print(f"delta(g = {est.g}, a = {est.a}, d = {est.d}, t = {est.t}) truncated at N = {est.truncation}")
     print(f"partial sum = {est.partial_sum} ~ {float(est.partial_sum):.6g}")
     print(f"tail bound  = {est.tail_bound} ~ {float(est.tail_bound):.6g}")
     print(f"lower bound = {est.lower_bound} ~ {float(est.lower_bound):.6g}"
           f" -> {'POSITIVE' if est.positive else 'not certified positive'}")
     vc = None
-    x = _resolve(args, config, "empirical_x", int, None)
-    if x is not None:
-        vc = density.v_count(est.g, est.a, est.d, est.t, x, collect_witnesses=True)
-        print(f"empirical count up to {x}: {vc.count}")
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        report.write_json(report.density_report_dict(est, vc), out)
-        print(f"report written to {out}")
+    if args.empirical_x is not None:
+        vc = density.v_count(est.g, est.a, est.d, est.t, args.empirical_x, collect_witnesses=True)
+        print(f"empirical count up to {args.empirical_x}: {vc.count}")
+    if args.out:
+        report.write_json(report.density_report_dict(est, vc), args.out)
+        print(f"report written to {args.out}")
     return EXIT_OK
 
 
-def _cmd_stats(args, config) -> int:
-    rep = stats.occurrence_histogram(
-        args.g, args.x, workers=_resolve(args, config, "workers", int, _default_workers())
-    )
+def _cmd_stats(args) -> int:
+    rep = stats.occurrence_histogram(args.g, args.x, workers=args.workers)
     print(f"stats g = {rep.g}, x = {rep.x}: {rep.primes_checked} primes in "
           f"{len(rep.by_index_counts)} index buckets, skipped {rep.skipped}")
     for n in sorted(rep.by_index_counts):
         print(f"  index {n} (value {stats.value_key(n)}): {rep.by_index_counts[n]}")
-    out = _resolve(args, config, "out", str, None)
-    if out:
-        report.write_json(report.stats_report_dict(rep), out)
-        print(f"report written to {out}")
+    if args.out:
+        report.write_json(report.stats_report_dict(rep), args.out)
+        print(f"report written to {args.out}")
     return EXIT_OK
 
 
-def _cmd_check(args, config) -> int:
+def _cmd_check(args) -> int:
     problems = report.check_report(args.file)
     if not problems:
         print(f"{args.file}: ok")
@@ -237,14 +217,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, sub = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            defaults = _config_defaults(args, _load_config(args.config))
+            sub.choices[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
     except TheoremViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

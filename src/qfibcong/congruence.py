@@ -42,7 +42,6 @@ from .qfib import (
     qfib_poly,
 )
 
-ALL_PATHS = frozenset({"recurrence", "andrews", "proposition", "poly"})
 DEFAULT_PATHS = frozenset({"recurrence"})
 
 
@@ -210,6 +209,7 @@ _CROSS_CHECKS = {
     "proposition": lambda rd: qfib_mod_proposition(rd).value,
     "poly": lambda rd: qfib_poly(rd.p).eval_mod(rd.alpha_res.value, rd.p),
 }
+ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
 
 
 def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[CongruenceRecord]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .modarith import Rational, multiplicative_order, reduce_rational
+from .modarith import Rational, lsym5, multiplicative_order, reduce_rational
 from .qfib import fib_mod
 
 if TYPE_CHECKING:
@@ -201,7 +201,7 @@ def check_report(path: str) -> list[str]:
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
     """Consistency of a scan report, plus a recomputation of each record's
-    right side and order, at O(log p) plus the factoring of p - 1 per record."""
+    right side, order and symbol, at O(log p) plus the factoring of p - 1 per record."""
     problems: list[str] = []
     records = payload.get("records", [])
     summary = payload.get("summary", {})
@@ -252,6 +252,8 @@ def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
         problems.append(f"record {i}: alpha^ord != 1 mod p")
     elif multiplicative_order(res) != d:
         problems.append(f"record {i}: ord is not the least exponent with alpha^ord = 1 mod p")
+    if r.get("lsym") != lsym5(d):
+        problems.append(f"record {i}: lsym != (ord/5)")
     if int(r.get("rhs", "-1")) != fib_mod(n, p).value:
         problems.append(f"record {i}: rhs != F_predicted_index mod p")
     return problems

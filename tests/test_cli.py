@@ -1,7 +1,7 @@
 import csv
 import json
 
-from qfibcong import congruence
+from qfibcong import cli, congruence
 from qfibcong.cli import main
 from qfibcong.modarith import Residue, lsym5
 from qfibcong.qfib import fib_mod
@@ -30,6 +30,18 @@ def test_qfib_mod(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "qfib", "7", "--q", "1/2", "--p", "13")
     assert code == 0
+
+
+def test_qfib_mod_refuses_bad_input_before_any_work(capsys, monkeypatch):
+    def no_recurrence(*args):
+        raise AssertionError("recurrence started before the input checks")
+
+    monkeypatch.setattr(cli, "qfib_mod_recurrence", no_recurrence)
+    for p in ("9", "2", "1"):
+        code, out, err = run(capsys, "qfib", "10", "--q", "2", "--p", p)
+        assert code == 2 and out == "" and "odd prime" in err
+    code, out, err = run(capsys, "qfib", "10000000000", "--q", "2", "--p", "7")
+    assert code == 2 and out == "" and "3037000500" in err
 
 
 def test_qfib_missing_flags(capsys):
@@ -175,6 +187,22 @@ def test_check_command(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 1 and "alpha^ord != 1 mod p" in err
 
+    # record 5 (p = 19, ord = 18) with its symbol flipped to +1 and every field
+    # derived from it made consistent: only recomputing (ord/5) can see it
+    path = tmp_path / "r_lsym.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "2000", "--out", str(path))
+    payload = json.loads(path.read_text())
+    record = payload["records"][5]
+    assert (record["p"], record["lsym"]) == (19, -1)
+    record["lsym"] = 1
+    record["predicted_index"] = record["index"] + record["lsym"]
+    record["lhs"] = record["rhs"] = str(fib_mod(2, 19).value)
+    record["match"] = True
+    path.write_text(json.dumps(payload))
+    assert check_report(str(path)) == ["record 5: lsym != (ord/5)"]
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and "record 5: lsym != (ord/5)" in err
+
     # a record whose ord is a multiple of the true order, with every field
     # derived from it made consistent: only the minimality check can see it
     path = tmp_path / "r_ord.json"
@@ -241,7 +269,7 @@ def test_stats_command(capsys, tmp_path):
     assert code == 0  # x = 3 has a single prime, bucketed under index 0
 
 
-def test_config_file_defaults_and_overrides(capsys, tmp_path):
+def test_config_file_defaults_and_overrides(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "qfib.cfg"
     cfg.write_text("pmin = 3\nworkers = 2\n# comment\n\n")
     code, out, _ = run(
@@ -257,6 +285,40 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path):
     code, _, err = run(capsys, "--config", str(tmp_path / "bad.cfg"), "scan",
                        "--alpha", "2", "--pmax", "20")
     assert code == 4
+
+    def with_config(text, *argv):
+        cfg.write_text(text)
+        return run(capsys, "--config", str(cfg), *argv)
+
+    scan = ("scan", "--alpha", "2", "--pmax", "20")
+    code, out, _ = with_config("paths = recurrence, andrews\n", *scan)
+    assert code == 0 and "paths andrews,recurrence" in out
+    # a boolean flag's entry is true or false
+    code, out, _ = with_config("poly = true\n", "qfib", "5")
+    assert code == 0 and out == "1 + q + q^2 + q^3 + q^4\n"
+    code, out, err = with_config("poly = false\n", "qfib", "5")
+    assert code == 2 and out == "" and "need" in err
+    code, out, _ = with_config("poly = false\n", "qfib", "7", "--q", "2", "--p", "7")
+    assert code == 0 and out == "1\n"
+    # a key is the option's name with - written as _
+    code, out, _ = with_config("a = 2\nd = 10\ntrunc = 50\nempirical_x = 100\n",
+                               "density", "--g", "2", "--t", "11")
+    assert code == 0
+    assert "delta(g = 2, a = 2, d = 10, t = 11) truncated at N = 50\n" in out
+    assert "empirical count up to 100: " in out
+    code, out, _ = with_config("workers = two\n", *scan)
+    assert code == 2 and out == ""
+    # keys that name no option of the command are ignored
+    code, out, _ = with_config("command = qfib\nfrobnicate = 1\npmin = 5\n", *scan)
+    assert code == 0 and "range [5, 20]" in out
+
+    # QFIB_WORKERS loses to a config entry, which loses to --workers
+    monkeypatch.setenv("QFIB_WORKERS", "3")
+    report_path = tmp_path / "w.json"
+    for text, flags, workers in (("", (), 3), ("workers = 2\n", (), 2),
+                                 ("workers = 2\n", ("--workers", "1"), 1)):
+        code, _, _ = with_config(text, *scan, *flags, "--out", str(report_path))
+        assert code == 0 and json.loads(report_path.read_text())["run"]["workers"] == workers
 
 
 def test_workers_env_default(capsys, monkeypatch):
