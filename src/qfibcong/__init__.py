@@ -13,6 +13,7 @@ from .congruence import (
     Inapplicable,
     Reason,
     ResidualData,
+    ScanReport,
     predicted_index,
     qfib_mod_proposition,
     residual_data,
@@ -58,7 +59,7 @@ from .qfib import (
     qfib_mod_recurrence,
     qfib_poly,
 )
-from .report import ScanReport, check_report, write_csv, write_json
+from .report import check_report, write_csv, write_json
 from .stats import OccurrenceReport, occurrence_histogram
 
 __all__ = [

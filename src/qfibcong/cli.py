@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__, congruence, density, report, stats
@@ -41,7 +42,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     sub = parser.add_subparsers(dest="command", required=True)
     paths = dict(type=_parse_paths, default=congruence.DEFAULT_PATHS,
                  help=f"comma list from: {','.join(sorted(congruence.ALL_PATHS))}")
-    workers = dict(type=int, default=os.environ.get("QFIB_WORKERS", "1"))
+    workers = dict(type=int, default=1)
 
     p_qfib = sub.add_parser("qfib", help="evaluate F_n(q) exactly or mod p")
     p_qfib.add_argument("n", type=int)
@@ -144,10 +145,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    start = time.monotonic()
     rep = congruence.scan_range(
         Fraction(args.alpha), args.pmin, args.pmax, paths=args.paths, workers=args.workers
     )
-    payload = report.scan_report_dict(rep)
+    run = {"workers": args.workers, "wall_time_s": time.monotonic() - start}
+    payload = {**report.scan_report_dict(rep), "run": run}
     summary = payload["summary"]
     print(f"scan alpha = {rep.alpha}, range [{rep.p_min}, {rep.p_max}], paths {','.join(rep.paths)}")
     print(f"checked = {summary['checked']}, matched = {summary['matched']}, "
@@ -174,7 +177,7 @@ def _cmd_density(args) -> int:
           f" -> {'POSITIVE' if est.positive else 'not certified positive'}")
     vc = None
     if args.empirical_x is not None:
-        vc = density.v_count(est.g, est.a, est.d, est.t, args.empirical_x, collect_witnesses=True)
+        vc = density.v_count(est.g, est.a, est.d, est.t, args.empirical_x)
         print(f"empirical count up to {args.empirical_x}: {vc.count}")
     if args.out:
         report.write_json(report.density_report_dict(est, vc), args.out)
@@ -183,13 +186,15 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    start = time.monotonic()
     rep = stats.occurrence_histogram(args.g, args.x, workers=args.workers)
+    run = {"workers": args.workers, "wall_time_s": time.monotonic() - start}
     print(f"stats g = {rep.g}, x = {rep.x}: {rep.primes_checked} primes in "
           f"{len(rep.by_index_counts)} index buckets, skipped {rep.skipped}")
     for n in sorted(rep.by_index_counts):
         print(f"  index {n} (value {stats.value_key(n)}): {rep.by_index_counts[n]}")
     if args.out:
-        report.write_json(report.stats_report_dict(rep), args.out)
+        report.write_json({**report.stats_report_dict(rep), "run": run}, args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -220,10 +225,12 @@ def main(argv: list[str] | None = None) -> int:
     parser, sub = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # QFIB_WORKERS is the lowest config entry: flags, then the file, then it, then 1
+        config = {"workers": os.environ["QFIB_WORKERS"]} if "QFIB_WORKERS" in os.environ else {}
         if args.config:
-            defaults = _config_defaults(args, _load_config(args.config))
-            sub.choices[args.command].set_defaults(**defaults)
-            args = parser.parse_args(argv)
+            config.update(_load_config(args.config))
+        sub.choices[args.command].set_defaults(**_config_defaults(args, config))
+        args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

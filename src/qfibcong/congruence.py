@@ -17,12 +17,10 @@ from __future__ import annotations
 import enum
 import multiprocessing
 import os
-import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import report
 from .errors import DomainError, InternalInvariantViolation
 from .modarith import (
     Rational,
@@ -96,6 +94,26 @@ class CongruenceRecord:
     @property
     def p(self) -> int:
         return self.data.p
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    """Outcome of verifying the congruence over a prime range."""
+
+    alpha: Rational
+    p_min: int
+    p_max: int
+    paths: tuple[str, ...]
+    records: list[CongruenceRecord]
+    skipped: dict[str, int]
+
+    @property
+    def mismatches(self) -> list[CongruenceRecord]:
+        return [r for r in self.records if not r.match]
+
+    @property
+    def all_match(self) -> bool:
+        return all(r.match for r in self.records)
 
 
 def residual_data(alpha: Rational, p: int) -> ResidualData:
@@ -302,7 +320,7 @@ def scan_range(
     p_max: int,
     paths: frozenset[str] = DEFAULT_PATHS,
     workers: int = 1,
-) -> "report.ScanReport":
+) -> ScanReport:
     """Verify the congruence at every applicable prime in [p_min, p_max].
 
     The recurrence always runs, so it is always among the report's paths.
@@ -314,15 +332,12 @@ def scan_range(
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
     paths = paths | {"recurrence"}
-    start = time.monotonic()
     parts, skipped = run_chunks(build_records, alpha, p_min, p_max, workers, paths)
-    return report.ScanReport(
+    return ScanReport(
         alpha=alpha,
         p_min=p_min,
         p_max=p_max,
         paths=tuple(sorted(paths)),
-        workers=workers,
-        wall_time_s=time.monotonic() - start,
         records=sorted((r for records in parts for r in records), key=lambda r: r.p),
         skipped=skipped,
     )

@@ -10,7 +10,7 @@ appear only when rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInvariantViolation
@@ -180,10 +180,10 @@ class VCount:
     t: int
     x: int
     count: int
-    witnesses: tuple[int, ...] = field(default_factory=tuple)
+    witnesses: tuple[int, ...]
 
 
-def v_count(g: int, a: int, d: int, t: int, x: int, collect_witnesses: bool = False) -> VCount:
+def v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
     """Sieve the arithmetic progression, then filter on the residual index."""
     _require_base(g)
     if x < 2:
@@ -193,13 +193,10 @@ def v_count(g: int, a: int, d: int, t: int, x: int, collect_witnesses: bool = Fa
     modulus = d * t
     target = (1 + t * a) % modulus
     hits: list[int] = []
-    count = 0
     for p in primes_upto(x):
         if p % modulus != target or g % p == 0:
             continue
         ord_ = multiplicative_order(reduce_rational(Fraction(g), p))
         if residual_index(p, ord_) == t:
-            count += 1
-            if collect_witnesses:
-                hits.append(p)
-    return VCount(g, a, d, t, x, count, tuple(hits))
+            hits.append(p)
+    return VCount(g, a, d, t, x, len(hits), tuple(hits))

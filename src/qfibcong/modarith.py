@@ -54,30 +54,20 @@ class Residue:
         return self.value
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).tolist()
-
-
 _SEGMENT = 1 << 18
 
 
 def prime_sieve(limit: int, lo: int = 2) -> list[int]:
     """All primes in [lo, limit], ascending.
 
-    Segmented from max(lo, sqrt(limit)), so memory stays O(sqrt(limit) +
-    segment) besides the output, however far the window lies from 2.
+    Segmented from max(lo, sqrt(limit)) with the base primes of a recursive
+    call, so memory stays O(sqrt(limit) + segment) besides the output,
+    however far the window lies from 2.
     """
     if limit < 2:
         return []
     root = math.isqrt(limit)
-    base = _simple_sieve(root)
+    base = prime_sieve(root)
     primes = [p for p in base if p >= lo]
     lo = max(lo, root + 1)
     while lo <= limit:
@@ -100,7 +90,7 @@ def primes_upto(limit: int, lo: int = 2) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)
 def _trial_primes() -> tuple[int, ...]:
-    return tuple(_simple_sieve(_TRIAL_LIMIT))
+    return tuple(prime_sieve(_TRIAL_LIMIT))
 
 
 def is_prime(n: int) -> bool:

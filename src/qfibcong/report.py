@@ -1,9 +1,9 @@
-"""Report containers, JSON/CSV serialization, and report revalidation.
+"""JSON/CSV serialization and revalidation of the library's reports.
 
 Report bodies are deterministic functions of their inputs: anything that
 varies between runs (worker count, wall time) lives in a separate "run"
-object so bodies can be compared byte for byte.  Integers that may exceed
-2**53 are serialized as decimal strings.
+object, which the caller fills, so bodies can be compared byte for byte.
+Integers that may exceed 2**53 are serialized as decimal strings.
 """
 
 from __future__ import annotations
@@ -13,41 +13,16 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from .modarith import Rational, lsym5, multiplicative_order, reduce_rational
+from .congruence import CongruenceRecord, ScanReport
+from .modarith import lsym5, multiplicative_order, reduce_rational
 from .qfib import fib_mod
-
-if TYPE_CHECKING:
-    from .congruence import CongruenceRecord
 
 FORMAT_VERSION = 1
 
 CSV_COLUMNS = ("p", "ord", "index", "lsym", "predicted_index", "lhs", "rhs", "match")
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Outcome of verifying the congruence over a prime range."""
-
-    alpha: Rational
-    p_min: int
-    p_max: int
-    paths: tuple[str, ...]
-    workers: int
-    wall_time_s: float
-    records: list["CongruenceRecord"]
-    skipped: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mismatches(self) -> list["CongruenceRecord"]:
-        return [r for r in self.records if not r.match]
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.records)
 
 
 def _big(n: int) -> str:
@@ -55,7 +30,7 @@ def _big(n: int) -> str:
     return str(int(n))
 
 
-def _record_dict(r: "CongruenceRecord") -> dict[str, Any]:
+def _record_dict(r: CongruenceRecord) -> dict[str, Any]:
     return {
         "p": r.p,
         "ord": r.data.ord,
@@ -80,7 +55,7 @@ def scan_report_dict(rep: ScanReport) -> dict[str, Any]:
             "p_max": rep.p_max,
             "paths": list(rep.paths),
         },
-        "run": {"workers": rep.workers, "wall_time_s": rep.wall_time_s},
+        "run": {},
         "summary": {
             "checked": len(rep.records),
             "matched": sum(r.match for r in rep.records),
@@ -97,7 +72,7 @@ def stats_report_dict(rep) -> dict[str, Any]:
         "kind": "stats",
         "format_version": FORMAT_VERSION,
         "metadata": {"g": _big(rep.g), "x": rep.x, "witness_cap": rep.witness_cap},
-        "run": {"workers": rep.workers, "wall_time_s": rep.wall_time_s},
+        "run": {},
         "summary": {
             "primes_checked": rep.primes_checked,
             "primes_skipped": dict(sorted(rep.skipped.items())),
@@ -155,17 +130,11 @@ def write_json(payload: dict[str, Any], path: str) -> None:
 
 
 def write_csv(rep: ScanReport, path: str) -> None:
-    """Flat per-prime table for a scan report."""
-    rows = []
-    for r in rep.records:
-        rows.append(
-            [r.p, r.data.ord, r.data.index, r.data.lsym_ord,
-             r.predicted_index, r.lhs.value, r.rhs.value, r.match]
-        )
+    """Flat per-prime table for a scan report: the record dicts' CSV_COLUMNS."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
+    writer.writerows([d[c] for c in CSV_COLUMNS] for d in map(_record_dict, rep.records))
     _atomic_write(path, buf.getvalue())
 
 

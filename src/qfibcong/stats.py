@@ -10,7 +10,6 @@ single mismatch anywhere aborts the whole scan.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,8 +38,6 @@ class OccurrenceReport:
     g: int
     x: int
     witness_cap: int
-    workers: int
-    wall_time_s: float
     primes_checked: int
     skipped: dict[str, int]
     by_index_counts: dict[int, int]
@@ -82,7 +79,6 @@ def occurrence_histogram(
     _require_base(g)
     if x < 2:
         raise DomainError(f"occurrence_histogram needs x >= 2, got {x}")
-    start = time.monotonic()
     parts, skipped = run_chunks(_histogram_chunk, Fraction(g), 3, x, workers, witness_cap)
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
@@ -99,8 +95,6 @@ def occurrence_histogram(
         g=g,
         x=x,
         witness_cap=witness_cap,
-        workers=workers,
-        wall_time_s=time.monotonic() - start,
         primes_checked=sum(counts.values()),
         skipped=skipped,
         by_index_counts=dict(sorted(counts.items())),

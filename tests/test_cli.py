@@ -319,6 +319,16 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path, monkeypatch):
                                  ("workers = 2\n", ("--workers", "1"), 1)):
         code, _, _ = with_config(text, *scan, *flags, "--out", str(report_path))
         assert code == 0 and json.loads(report_path.read_text())["run"]["workers"] == workers
+    # so a malformed QFIB_WORKERS matters only where nothing above it sets workers
+    monkeypatch.setenv("QFIB_WORKERS", "abc")
+    code, _, _ = with_config("workers = 2\n", *scan, "--out", str(report_path))
+    assert code == 0 and json.loads(report_path.read_text())["run"]["workers"] == 2
+    code, out, err = run(capsys, *scan)
+    assert code == 2 and out == "" and "abc" in err
+    code, _, _ = run(capsys, *scan, "--workers", "2")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--alpha", "2", "--p", "7")
+    assert code == 0 and "match" in out
 
 
 def test_workers_env_default(capsys, monkeypatch):

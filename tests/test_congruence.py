@@ -253,7 +253,7 @@ def test_chunk_runner_starts_no_idle_processes(monkeypatch):
     monkeypatch.setattr(congruence.os, "cpu_count", lambda: 8)
     # [1500, 1530] holds two primes, 1511 and 1523: two non-empty chunks of 64
     rep = scan_range(Fraction(2), 1500, 1530, workers=64)
-    assert sizes == [2] and rep.workers == 64
+    assert sizes == [2]
     assert rep.records == scan_range(Fraction(2), 1500, 1530, workers=1).records
     monkeypatch.setattr(congruence.os, "cpu_count", lambda: 1)
     scan_range(Fraction(2), 3, 1000, workers=64)
@@ -274,12 +274,15 @@ def _body(payload):
 def test_chunk_runner_covers_the_window_for_any_worker_count(window, g):
     p_min, p_max = window
     odd_primes = [p for p in primes_trial(p_max) if p >= p_min and p > 2]
-    scans, histograms = set(), set()
+    scans, histograms = [], []
     for workers in (1, 2, 3):
         rep = scan_range(Fraction(g), p_min, p_max, workers=workers)
         ps = [r.p for r in rep.records]
         assert ps == sorted(set(ps)) and set(ps) <= set(odd_primes)
         assert len(ps) + sum(rep.skipped.values()) == len(odd_primes)
-        scans.add(_body(scan_report_dict(rep)))
-        histograms.add(_body(stats_report_dict(occurrence_histogram(g, p_max, workers=workers))))
-    assert len(scans) == len(histograms) == 1
+        scans.append(rep)
+        histograms.append(occurrence_histogram(g, p_max, workers=workers))
+    # the library's results, not only their report bodies, owe nothing to the worker count
+    assert scans[0] == scans[1] == scans[2] and histograms[0] == histograms[1] == histograms[2]
+    assert len({_body(scan_report_dict(rep)) for rep in scans}) == 1
+    assert len({_body(stats_report_dict(hist)) for hist in histograms}) == 1

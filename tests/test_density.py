@@ -130,7 +130,7 @@ def test_tail_bound_dominates_partial_tails():
 
 
 def test_v_count_examples():
-    vc = v_count(2, 1, 5, 11, 100, collect_witnesses=True)
+    vc = v_count(2, 1, 5, 11, 100)
     assert vc.count == 0 and vc.witnesses == ()
     assert v_count(2, 1, 5, 1, 20).count == 0
     # empty progression: no prime is 1 + 7*3 = 22 mod 7*3... and x below dt
@@ -142,7 +142,7 @@ def test_v_count_examples():
 def test_v_count_monotone_and_witnessed():
     prev = 0
     for x in (100, 1000, 5000, 20000):
-        vc = v_count(2, 1, 5, 3, x, collect_witnesses=True)
+        vc = v_count(2, 1, 5, 3, x)
         assert vc.count >= prev
         assert len(vc.witnesses) == vc.count
         for p in vc.witnesses:

@@ -26,7 +26,14 @@ from _oracles import legendre, order_brute, phi_brute, primes_trial
 
 
 def test_prime_sieve_matches_trial_division():
-    assert prime_sieve(3000) == primes_trial(3000)
+    # every limit to 2,000 pins the base cases of the sieve's recursion on sqrt(limit)
+    expected = primes_trial(3000)
+    assert prime_sieve(3000) == expected
+    for limit in range(2001):
+        assert prime_sieve(limit) == [p for p in expected if p <= limit]
+    for limit in (3, 59, 60, 61, 2000, 3000):
+        for lo in range(-2, 60):
+            assert prime_sieve(limit, lo) == [p for p in expected if lo <= p <= limit]
 
 
 def test_prime_sieve_edges():
