@@ -108,10 +108,6 @@ class ScanReport:
     skipped: dict[str, int]
 
     @property
-    def mismatches(self) -> list[CongruenceRecord]:
-        return [r for r in self.records if not r.match]
-
-    @property
     def all_match(self) -> bool:
         return all(r.match for r in self.records)
 

@@ -1,17 +1,16 @@
-"""Exact polynomials in q, and Gaussian (q-)binomials mod p.
+"""Exact polynomials in q, and the per-(p, alpha) context of the Andrews route.
 
-IntPoly carries the exact q-Fibonacci polynomials.  QLucasContext
-evaluates q-integers and Gaussian binomials at a residue alpha of
-multiplicative order d without ever constructing a polynomial, via the
-base-d (q-Lucas) reduction.
+IntPoly carries the exact q-Fibonacci polynomials.  QLucasContext holds
+what the Andrews route reads once the q-Lucas theorem has reduced its
+q-binomials at alpha to ordinary binomials C(I, k) mod p: the order d of
+alpha and a factorial table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from functools import lru_cache
 
-from .errors import NotInvertible
+from .errors import DomainError, NotInvertible
 from .modarith import Residue, multiplicative_order
 
 
@@ -92,14 +91,14 @@ class IntPoly:
 
 
 class QLucasContext:
-    """Per-(p, alpha) tables backing base-d q-binomial evaluation.
+    """Per-(p, alpha) data the Andrews route reads: alpha's order d and k! mod p.
 
-    Holds k! and the q-factorials [1]_a ... [k]_a mod p, each grown in place
-    only as far as a call reads it; the Andrews row p - 1 = I*d reads k! up
-    to I! and no q-factorial.  Growth takes no lock: share no context across threads.
+    The factorial table grows in place only as far as comb_mod reads it; the
+    Andrews row p - 1 = I*d reads it up to I!.  Growth takes no lock: share no
+    context across threads.
     """
 
-    __slots__ = ("p", "a", "d", "_fact", "_qfact")
+    __slots__ = ("p", "a", "d", "_fact")
 
     def __init__(self, alpha: Residue):
         if alpha.value == 0:
@@ -108,48 +107,17 @@ class QLucasContext:
         self.a = alpha.value
         self.d = multiplicative_order(alpha)
         self._fact = [1]
-        self._qfact = [1]
-
-    def _ratio(self, table: list[int], factor: Callable[[int], int], n: int, m: int) -> int:
-        """table[n] / (table[m] * table[n - m]) mod p, growing table through index n.
-
-        table[k] is factor(1) * ... * factor(k) mod p; every factor up to n must be a unit.
-        """
-        p = self.p
-        while len(table) <= n:
-            table.append(table[-1] * factor(len(table)) % p)
-        return table[n] * pow(table[m] * table[n - m] % p, -1, p) % p
 
     def comb_mod(self, n: int, m: int) -> int:
-        """C(n, m) mod p via factorials, with base-p reduction for n >= p."""
+        """C(n, m) mod p for 0 <= n < p, from the factorial table."""
+        p, fact = self.p, self._fact
+        if not 0 <= n < p:
+            raise DomainError(f"comb_mod needs 0 <= n < p = {p}, got n = {n}")
         if m < 0 or m > n:
             return 0
-        p = self.p
-        out = 1
-        while n or m:
-            n, n0 = divmod(n, p)
-            m, m0 = divmod(m, p)
-            if m0 > n0:
-                return 0
-            out = out * self._ratio(self._fact, int, n0, m0) % p
-        return out
-
-    def q_binomial(self, n: int, m: int) -> int:
-        """Gaussian binomial [n, m] evaluated at alpha mod p, base-d reduction."""
-        if m < 0 or m > n:
-            return 0
-        n1, n0 = divmod(n, self.d)
-        m1, m0 = divmod(m, self.d)
-        if m0 > n0:
-            return 0
-        return self.comb_mod(n1, m1) * self._ratio(self._qfact, self.q_int, n0, m0) % self.p
-
-    def q_int(self, n: int) -> int:
-        """[n]_alpha mod p."""
-        p, a = self.p, self.a
-        if a == 1:
-            return n % p
-        return (pow(a, n, p) - 1) * pow(a - 1, -1, p) % p
+        while len(fact) <= n:
+            fact.append(fact[-1] * len(fact) % p)
+        return fact[n] * pow(fact[m] * fact[n - m] % p, -1, p) % p
 
 
 @lru_cache(maxsize=64)

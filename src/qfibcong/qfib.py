@@ -1,15 +1,16 @@
 """The q-Fibonacci sequence by independent routes, plus helpers around it.
 
-Routes: the defining recurrence (exact polynomials and mod p), the
-explicit alternating binomial sum evaluated through the base-d reduction,
-and the ordinary Fibonacci numbers the q = 1 specialization recovers.
+Routes: the defining recurrence (exact polynomials and mod p), Andrews'
+explicit alternating q-binomial sum at n = p, reduced by the q-Lucas
+theorem to I + 1 ordinary binomials, and the ordinary Fibonacci numbers
+the q = 1 specialization recovers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError
 from .modarith import Residue
 from .qanalogue import IntPoly, _context
 
@@ -86,38 +87,30 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
     return out
 
 
-def _andrews_j_range(n: int) -> range:
-    """Frozen summation window; terms outside it vanish identically."""
-    ceil_fifth = -(-(n + 1) // 5)
-    return range(-ceil_fifth - 1, (n - 1) // 5 + 2)
-
-
 def qfib_mod_andrews(n: int, alpha: Residue, d: int) -> Residue:
-    """F_n(alpha) mod p by the explicit alternating q-binomial sum.
+    """F_p(alpha) mod p by Andrews' alternating q-binomial sum, at n = p only.
 
-    Evaluates sum_j (-1)**j q**(j(5j+1)/2) [n-1, floor((n-1-5j)/2)] at
-    q = alpha, each q-binomial through the base-d reduction; exponents are
-    reduced mod p - 1 since alpha**(p-1) = 1.
+    Andrews' formula is F_p = sum_j (-1)**j q**(j(5j+1)/2) [p-1, floor((p-1-5j)/2)].
+    With p - 1 = I*d, the q-Lucas theorem gives [p-1, m] = C(I, m/d) at q = alpha
+    when d divides m, and 0 otherwise.  So only m = k*d, k = 0..I, survive:
+    with t = p - 1 - 2kd, m = kd exactly when t mod 5 is 0 or 1, and then j = t // 5.
+    That is O(I) terms; exponents are reduced mod p - 1 since alpha**(p-1) = 1.
     """
     p = alpha.modulus
-    if n < 0:
-        raise DomainError(f"qfib_mod_andrews needs n >= 0, got {n}")
-    if n == 0:
-        return Residue(0, p)
+    if n != p:
+        raise DomainError(f"qfib_mod_andrews needs n = p = {p}, got {n}")
     ctx = _context(p, alpha.value)
     if ctx.d != d:
         raise DomainError(f"d = {d} is not the order of {alpha.value} mod {p}")
     a = alpha.value
-    nn = n - 1
+    idx = (p - 1) // d
     total = 0
-    for j in _andrews_j_range(n):
-        qb = ctx.q_binomial(nn, (nn - 5 * j) // 2)
-        if qb == 0:
+    for k in range(idx + 1):
+        t = p - 1 - 2 * k * d
+        if t % 5 > 1:
             continue
-        e = j * (5 * j + 1)
-        if e % 2 != 0:
-            raise InternalInvariantViolation("j(5j+1) must be even")
-        term = pow(a, (e // 2) % (p - 1), p) * qb % p
+        j = t // 5
+        term = pow(a, j * (5 * j + 1) // 2 % (p - 1), p) * ctx.comb_mod(idx, k) % p
         total = (total - term if j % 2 else total + term) % p
     return Residue(total, p)
 

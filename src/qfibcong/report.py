@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Any
 
 from .congruence import CongruenceRecord, ScanReport
 from .modarith import lsym5, multiplicative_order, reduce_rational
-from .qfib import fib_mod
+from .qfib import RECURRENCE_MAX_P, fib_mod
 
 FORMAT_VERSION = 1
 
@@ -158,6 +159,8 @@ def check_report(path: str) -> list[str]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"unreadable report: {exc}"]
+    if not isinstance(payload, dict):
+        return ["the report is not a JSON object"]
     kind = payload.get("kind")
     if kind == "scan":
         return _check_scan(payload)
@@ -168,13 +171,39 @@ def check_report(path: str) -> list[str]:
     return [f"unknown report kind: {kind!r}"]
 
 
+def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=()) -> list[str]:
+    """Shape problems of one JSON value: it must be an object, and each of the
+    named fields it holds an integer, a decimal string or a list of integers."""
+    if not isinstance(obj, dict):
+        return [f"{where} is not an object"]
+    kinds = ((ints, "an integer", lambda v: type(v) is int),
+             (decimals, "a decimal string",
+              lambda v: isinstance(v, str) and v.removeprefix("-").isdecimal()),
+             (int_lists, "a list of integers",
+              lambda v: isinstance(v, list) and all(type(w) is int for w in v)))
+    return [f"{where}: {key} is not {name}"
+            for keys, name, ok in kinds for key in keys if key in obj and not ok(obj[key])]
+
+
+def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
+    """Shape problems of a JSON list whose items must each pass _malformed."""
+    if not isinstance(items, list):
+        return [f"{where} is not a list"]
+    return [problem for i, item in enumerate(items)
+            for problem in _malformed(f"{label} {i}", item, **kinds)]
+
+
 def _check_scan(payload: dict[str, Any]) -> list[str]:
     """Consistency of a scan report, plus a recomputation of each record's
     right side, order and symbol, at O(log p) plus the factoring of p - 1 per record."""
-    problems: list[str] = []
     records = payload.get("records", [])
     summary = payload.get("summary", {})
     meta = payload.get("metadata", {})
+    problems = (_malformed("metadata", meta, ints=("p_min", "p_max")) + _malformed("summary", summary)
+                + _malformed_list("records", records, "record", decimals=("lhs", "rhs"),
+                                  ints=("p", "ord", "index", "lsym", "predicted_index")))
+    if problems:
+        return problems
     try:
         alpha = Fraction(meta.get("alpha", ""))
     except (TypeError, ValueError, ZeroDivisionError):
@@ -213,7 +242,8 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
 
 def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
     p, d, n = r.get("p", 0), r.get("ord", 0), r.get("predicted_index", -1)
-    if p < 3 or d < 1 or n < 0 or alpha.numerator % p == 0 or alpha.denominator % p == 0:
+    if (not 3 <= p <= RECURRENCE_MAX_P or d < 1 or n < 0
+            or math.gcd(alpha.numerator * alpha.denominator, p) != 1):
         return [f"record {i}: cannot recompute at p={p}"]
     problems = []
     res = reduce_rational(alpha, p)
@@ -229,9 +259,16 @@ def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
 
 
 def _check_stats(payload: dict[str, Any]) -> list[str]:
-    problems: list[str] = []
     by_index = payload.get("by_index", {})
+    by_value = payload.get("by_value", {})
     summary = payload.get("summary", {})
+    if not isinstance(by_index, dict):
+        return ["by_index is not an object"]
+    problems = _malformed("summary", summary) + _malformed("by_value", by_value, ints=by_value)
+    for key, entry in by_index.items():
+        problems += _malformed(f"index {key}", entry, ints=("count",), int_lists=("witnesses",))
+    if problems:
+        return problems
     total = 0
     for key, entry in by_index.items():
         count = entry.get("count", 0)
@@ -243,7 +280,7 @@ def _check_stats(payload: dict[str, Any]) -> list[str]:
             problems.append(f"index {key}: witnesses not sorted")
     if summary.get("primes_checked") != total:
         problems.append("summary.primes_checked != sum of index counts")
-    value_total = sum(payload.get("by_value", {}).values())
+    value_total = sum(by_value.values())
     if value_total != total:
         problems.append("by_value counts do not account for every prime")
     if summary.get("distinct_indices") != len(by_index):
@@ -252,23 +289,26 @@ def _check_stats(payload: dict[str, Any]) -> list[str]:
 
 
 def _check_density(payload: dict[str, Any]) -> list[str]:
-    problems: list[str] = []
     summary = payload.get("summary", {})
+    terms = payload.get("terms", [])
+    problems = _malformed("summary", summary) + _malformed_list("terms", terms, "term")
+    if problems:
+        return problems
     try:
         partial = Fraction(summary.get("partial_sum", "0"))
         tail = Fraction(summary.get("tail_bound", "0"))
         lower = Fraction(summary.get("lower_bound", "0"))
-    except (ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         return ["summary fractions unparsable"]
     if partial - tail != lower:
         problems.append("lower_bound != partial_sum - tail_bound")
     if (lower > 0) != summary.get("positive"):
         problems.append("positive flag inconsistent with lower_bound")
     term_sum = Fraction(0)
-    for t in payload.get("terms", []):
+    for t in terms:
         try:
             term_sum += Fraction(t.get("value", "0"))
-        except (ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError):
             problems.append(f"term n={t.get('n')}: value unparsable")
     if term_sum != partial:
         problems.append("partial_sum != sum of term values")

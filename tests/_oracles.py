@@ -3,9 +3,10 @@
 Everything here is deliberately naive: direct sums, trial division, and
 row-by-row Pascal recurrences, sharing no code with the library paths
 they check.  The paper's lemma objects at the end (the Legendre symbol,
-the unit ratios C_k and the integer sums G_{n,m}) are checked against
-the shipped routes: kronecker, the q-binomial row p - 1 and the
-recurrence.
+q-integers, the base-d q-binomial, Andrews' sum for every n, the unit
+ratios C_k and the integer sums G_{n,m}) are checked against the naive
+q-Pascal triangle, each other and the shipped routes: kronecker, the
+Andrews route and the recurrence.
 """
 
 import math
@@ -13,8 +14,7 @@ import math
 import numpy as np
 
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue, is_prime, lsym5
-from qfibcong.qanalogue import QLucasContext, _context
+from qfibcong.modarith import Residue, is_prime, lsym5, multiplicative_order
 
 
 def primes_trial(limit: int) -> list[int]:
@@ -101,16 +101,66 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def q_ratio(k: int, l: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
-    """The residue of [k]_alpha / [l]_alpha for k = l mod ord(alpha).
+def q_int(n: int, a: int, p: int) -> int:
+    """[n]_a = 1 + a + ... + a**(n-1) mod p, by the geometric-sum closed form."""
+    if a % p == 1:
+        return n % p
+    return (pow(a, n, p) - 1) * pow(a - 1, -1, p) % p
+
+
+def q_binomial(n: int, m: int, a: int, p: int, d: int) -> int:
+    """Gaussian binomial [n, m] at q = a mod p, d the order of a, by the q-Lucas theorem.
+
+    With n = n1*d + n0 and m = m1*d + m0 (0 <= n0, m0 < d), [n, m] is
+    C(n1, m1) [n0, m0]: an exact integer times a quotient of q-integers
+    [i]_a with 0 < i < d, which are units.
+    """
+    if m < 0 or m > n:
+        return 0
+    n1, n0 = divmod(n, d)
+    m1, m0 = divmod(m, d)
+    if m0 > n0:
+        return 0
+    num = den = 1
+    for i in range(1, m0 + 1):
+        num = num * q_int(n0 - m0 + i, a, p) % p
+        den = den * q_int(i, a, p) % p
+    return math.comb(n1, m1) * num * pow(den, -1, p) % p
+
+
+def andrews_j_range(n: int) -> range:
+    """A window of j outside which floor((n-1-5j)/2) leaves [0, n-1]."""
+    ceil_fifth = -(-(n + 1) // 5)
+    return range(-ceil_fifth - 1, (n - 1) // 5 + 2)
+
+
+def andrews_sum(n: int, a: int, p: int) -> int:
+    """F_n(a) mod p by Andrews' formula, for every n >= 0.
+
+    sum_j (-1)**j a**(j(5j+1)/2) [n-1, floor((n-1-5j)/2)], with the whole
+    row n - 1 taken from the naive q-Pascal triangle.
+    """
+    if n == 0:
+        return 0
+    row = qpascal_row(n - 1, a, p)
+    total = 0
+    for j in andrews_j_range(n):
+        m = (n - 1 - 5 * j) // 2
+        if 0 <= m <= n - 1:
+            total += (-1) ** j * pow(a, j * (5 * j + 1) // 2, p) * int(row[m])
+    return total % p
+
+
+def q_ratio(k: int, l: int, alpha: Residue, d: int | None = None) -> Residue:
+    """The residue of [k]_alpha / [l]_alpha for k = l mod d = ord(alpha).
 
     When [l]_alpha is a unit this is a plain quotient of evaluated
-    q-integers; when [l]_alpha vanishes (ord | l) the common geometric
-    factor cancels and the value is (k/ord) / (l/ord) mod p.
+    q-integers; when [l]_alpha vanishes (d | l) the common geometric
+    factor cancels and the value is (k/d) / (l/d) mod p.
     """
-    if ctx is None:
-        ctx = _context(alpha.modulus, alpha.value)
-    p, d = ctx.p, ctx.d
+    p, a = alpha.modulus, alpha.value
+    if d is None:
+        d = multiplicative_order(alpha)
     if not 1 <= l <= p - 1:
         raise DomainError(f"q_ratio needs 1 <= l <= p-1, got l = {l}")
     if k < 1:
@@ -119,19 +169,19 @@ def q_ratio(k: int, l: int, alpha: Residue, ctx: QLucasContext | None = None) ->
         raise DomainError(f"q_ratio needs k = l mod {d}")
     if l % d == 0:
         return Residue((k // d) % p * pow((l // d) % p, -1, p) % p, p)
-    return Residue(ctx.q_int(k) * pow(ctx.q_int(l), -1, p) % p, p)
+    return Residue(q_int(k, a, p) * pow(q_int(l, a, p), -1, p) % p, p)
 
 
-def c_k(k: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
+def c_k(k: int, alpha: Residue, d: int | None = None) -> Residue:
     """The ratio ([p-k-1]...[p-k-d]) / ([k+d]...[k+1]) at alpha, as a residue.
 
     Each denominator factor [k+i] is paired with the unique numerator
     factor [p-k-j] in the same class mod d, and the pair is resolved by
     q_ratio; the product of the pairs is the value.
     """
-    if ctx is None:
-        ctx = _context(alpha.modulus, alpha.value)
-    p, d = ctx.p, ctx.d
+    p = alpha.modulus
+    if d is None:
+        d = multiplicative_order(alpha)
     if not 0 <= k <= p - 1 - d:
         raise DomainError(f"c_k needs 0 <= k <= p-1-ord, got k = {k}")
     out = 1
@@ -139,7 +189,7 @@ def c_k(k: int, alpha: Residue, ctx: QLucasContext | None = None) -> Residue:
         j = (p - 2 * k - i) % d
         if j == 0:
             j = d
-        out = out * q_ratio(p - k - j, k + i, alpha, ctx).value % p
+        out = out * q_ratio(p - k - j, k + i, alpha, d).value % p
     return Residue(out, p)
 
 
@@ -150,8 +200,8 @@ def c_k_all(alpha: Residue) -> list[int]:
     divide i and u[i] = i/d otherwise, every pair ratio is a quotient of
     u-values, so C_k is a quotient of prefix products of u.
     """
-    ctx = _context(alpha.modulus, alpha.value)
-    p, d, a = ctx.p, ctx.d, ctx.a
+    p, a = alpha.modulus, alpha.value
+    d = multiplicative_order(alpha)
     u = [1] * p  # u[0] unused
     if a == 1:
         for i in range(1, p):

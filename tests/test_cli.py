@@ -341,3 +341,72 @@ def test_bad_subcommand_usage(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["--version"]) == 0
+
+
+def test_check_lists_malformed_reports(capsys, tmp_path):
+    # each tamper is a listed problem with exit 1, never a traceback or a usage error
+    bodies = {}
+    for kind, argv in (("scan", ("scan", "--alpha", "2", "--pmax", "100")),
+                       ("stats", ("stats", "--g", "2", "--x", "100")),
+                       ("density", ("density", "--g", "2", "--t", "11", "--trunc", "20"))):
+        path = tmp_path / f"{kind}.json"
+        run(capsys, *argv, "--out", str(path))
+        bodies[kind] = path.read_text()
+
+    def tampered(kind, *keys, value):
+        payload = json.loads(bodies[kind])
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return payload
+
+    cases = [
+        ([1, 2], "the report is not a JSON object"),
+        (tampered("scan", "metadata", value=[1]), "metadata is not an object"),
+        (tampered("scan", "summary", value="x"), "summary is not an object"),
+        (tampered("scan", "records", value=5), "records is not a list"),
+        (tampered("scan", "records", 5, value=[1]), "record 5 is not an object"),
+        (tampered("scan", "records", 5, "p", value="19"), "record 5: p is not an integer"),
+        (tampered("scan", "records", 5, "ord", value="18"), "record 5: ord is not an integer"),
+        (tampered("scan", "records", 5, "lsym", value=True), "record 5: lsym is not an integer"),
+        (tampered("scan", "records", 5, "lhs", value="abc"),
+         "record 5: lhs is not a decimal string"),
+        (tampered("scan", "metadata", "p_max", value="100"), "metadata: p_max is not an integer"),
+        (tampered("stats", "summary", value=[]), "summary is not an object"),
+        (tampered("stats", "by_index", value=[1]), "by_index is not an object"),
+        (tampered("stats", "by_index", "0", value=3), "index 0 is not an object"),
+        (tampered("stats", "by_index", "0", "count", value="3"),
+         "index 0: count is not an integer"),
+        (tampered("stats", "by_index", "0", "witnesses", value=[3, "a"]),
+         "index 0: witnesses is not a list of integers"),
+        (tampered("stats", "by_value", "0", value="3"), "by_value: 0 is not an integer"),
+        (tampered("density", "summary", value=[]), "summary is not an object"),
+        (tampered("density", "summary", "partial_sum", value=None),
+         "summary fractions unparsable"),
+        (tampered("density", "terms", value=7), "terms is not a list"),
+        (tampered("density", "terms", 0, value=7), "term 0 is not an object"),
+    ]
+    path = tmp_path / "t.json"
+    for payload, problem in cases:
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == [problem]
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == "" and err == f"{path}: {problem}\n"
+
+    # a record at a composite p where alpha's denominator is not a unit: no pow(3, -1, 9)
+    path = tmp_path / "third.json"
+    run(capsys, "scan", "--alpha", "1/3", "--pmax", "100", "--out", str(path))
+    payload = json.loads(path.read_text())
+    assert payload["records"][2]["p"] == 13
+    payload["records"][2].update(p=9, ord=2, index=4)
+    path.write_text(json.dumps(payload))
+    assert "record 2: cannot recompute at p=9" in check_report(str(path))
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 1
+    # a record past the recurrence bound that scan enforces, where alpha^ord = 1 holds by
+    # Fermat: its order would factor p - 1 by Pollard rho
+    p = 2000000000000008396000000000000075403
+    payload["records"][2].update(p=p, ord=p - 1, index=1)
+    path.write_text(json.dumps(payload))
+    assert f"record 2: cannot recompute at p={p}" in check_report(str(path))

@@ -4,10 +4,19 @@ import pytest
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, multiplicative_order
-from qfibcong.qanalogue import IntPoly, QLucasContext, _context
-from qfibcong.qfib import qfib_mod_andrews, qfib_mod_recurrence
+from qfibcong.qanalogue import IntPoly
+from qfibcong.qfib import qfib_mod_andrews
 
-from _oracles import c_k, c_k_all, primes_trial, q_ratio, qpascal_table
+from _oracles import (
+    c_k,
+    c_k_all,
+    primes_trial,
+    q_binomial,
+    q_int,
+    q_ratio,
+    qpascal_row,
+    qpascal_table,
+)
 
 
 def poly(*coeffs):
@@ -27,18 +36,17 @@ def test_intpoly_basics():
 def test_q_integer():
     # [n]_a = 1 + a + ... + a**(n-1) mod p, which is n mod p at a = 1
     for p, a in ((7, 2), (13, 5), (31, 1)):
-        ctx = QLucasContext(Residue(a, p))
         for n in range(1, 3 * p):
-            assert ctx.q_int(n) == sum(pow(a, i, p) for i in range(n)) % p
+            assert q_int(n, a, p) == sum(pow(a, i, p) for i in range(n)) % p
 
 
 def test_q_binomial_mod_examples():
-    ctx = QLucasContext(Residue(2, 7))
-    assert ctx.q_binomial(6, 3) == 2
+    # 2 has order 3 mod 7
+    assert q_binomial(6, 3, 2, 7, 3) == 2
     assert qpascal_table(6, 2, 7)[6][3] == 2
-    assert ctx.q_binomial(5, 0) == 1
-    assert ctx.q_binomial(4, 9) == 0
-    assert ctx.q_binomial(4, -2) == 0
+    assert q_binomial(5, 0, 2, 7, 3) == 1
+    assert q_binomial(4, 9, 2, 7, 3) == 0
+    assert q_binomial(4, -2, 2, 7, 3) == 0
 
 
 def test_q_binomial_mod_requires_true_order():
@@ -48,28 +56,29 @@ def test_q_binomial_mod_requires_true_order():
 
 
 def test_q_binomial_mod_row_p_minus_1():
-    # row p-1 vanishes off multiples of the order and is binomial on them
+    # row p-1 vanishes off multiples of the order and is binomial on them:
+    # the lemma the Andrews route rests on, checked on the naive triangle too
     for p in primes_trial(60):
         if p == 2:
             continue
-        for a in range(2, p):
+        for a in range(1, p):
             d = multiplicative_order(Residue(a, p))
             idx = (p - 1) // d
-            ctx = QLucasContext(Residue(a, p))
+            row = qpascal_row(p - 1, a, p)
             for k in range(p):
-                v = ctx.q_binomial(p - 1, k)
                 expected = math.comb(idx, k // d) % p if k % d == 0 else 0
-                assert v == expected
+                assert q_binomial(p - 1, k, a, p, d) == expected
+                assert row[k] == expected
 
 
 def test_q_binomial_mod_against_pascal_oracle():
     for p in (3, 5, 7, 11, 13, 17):
         for a in range(2, p):
-            ctx = QLucasContext(Residue(a, p))
+            d = multiplicative_order(Residue(a, p))
             table = qpascal_table(p - 1, a, p)
             for n in range(p):
                 for m in range(n + 1):
-                    assert ctx.q_binomial(n, m) == int(table[n][m])
+                    assert q_binomial(n, m, a, p, d) == int(table[n][m])
 
 
 def test_q_ratio_examples():
@@ -148,24 +157,3 @@ def test_c_k_all_matches_c_k():
             assert len(batch) == p - d
             for k in range(p - d):
                 assert batch[k] == c_k(k, alpha).value
-
-
-def test_context_tables():
-    ctx = QLucasContext(Residue(2, 7))
-    assert ctx.d == 3
-    assert ctx.q_int(1) == 1
-    assert ctx.q_int(2) == 3
-    assert ctx.comb_mod(6, 3) == math.comb(6, 3) % 7
-    assert ctx.comb_mod(10, 4) == math.comb(10, 4) % 7
-
-
-def test_context_tables_grow_only_as_far_as_read():
-    # at n = p with a primitive root, the base-d reduction reads 0! and 1!
-    # (C(I, m1) with I = 1) and only the empty q-factorial (n0 = 0)
-    p = 140_009
-    a = next(a for a in range(2, p) if multiplicative_order(Residue(a, p)) == p - 1)
-    alpha = Residue(a, p)
-    assert qfib_mod_andrews(p, alpha, p - 1) == qfib_mod_recurrence(p, alpha)
-    ctx = _context(p, a)
-    assert len(ctx._fact) <= 2
-    assert len(ctx._qfact) <= 1

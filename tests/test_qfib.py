@@ -1,16 +1,17 @@
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, lsym5, multiplicative_order
-from qfibcong.qanalogue import IntPoly
+from qfibcong.qanalogue import IntPoly, QLucasContext, _context
 from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
     _LOCKSTEP_MIN_BATCH,
-    _andrews_j_range,
     fib,
     fib_mod,
     qfib_mod_andrews,
@@ -19,7 +20,7 @@ from qfibcong.qfib import (
     qfib_poly,
 )
 
-from _oracles import fib_seq, g_value, primes_trial, qfib_seq_mod
+from _oracles import andrews_j_range, andrews_sum, fib_seq, g_value, primes_trial, qfib_seq_mod
 
 
 def test_qfib_poly_small():
@@ -59,38 +60,82 @@ def _order(a, p):
 
 
 def test_qfib_mod_andrews_examples():
-    for p, a in ((7, 2), (11, 3), (31, 2)):
-        alpha = Residue(a, p)
-        assert qfib_mod_andrews(1, alpha, _order(a, p)).value == 1
-        assert qfib_mod_andrews(5, alpha, _order(a, p)).value == qfib_poly(5).eval_mod(a, p)
+    for p, a in ((7, 2), (11, 3), (31, 2), (31, 1)):
+        d = _order(a, p)
+        assert qfib_mod_andrews(p, Residue(a, p), d).value == qfib_poly(p).eval_mod(a, p)
     assert qfib_mod_andrews(7, Residue(2, 7), 3).value == 1
+    # the route serves n = p only, and only with the true order of alpha
+    for n in (0, 1, 6, 8, 14):
+        with pytest.raises(DomainError):
+            qfib_mod_andrews(n, Residue(2, 7), 3)
+    for d in (1, 2, 6):
+        with pytest.raises(DomainError):
+            qfib_mod_andrews(7, Residue(2, 7), d)
+
+
+_ODD_PRIMES = primes_trial(20_000)[1:]
 
 
 def test_qfib_mod_andrews_matches_recurrence():
-    rng = random.Random(7)
-    for p in primes_trial(60):
-        if p == 2:
-            continue
-        for a in range(2, p):
-            d = _order(a, p)
+    # every odd p < 400 and every a in [1, p-1]: d = 1 (a = 1, I = p - 1),
+    # d = 2 (I = (p-1)/2), d = p - 1 (I = 1) and orders divisible by 5
+    for p in _ODD_PRIMES:
+        if p > 400:
+            break
+        for a in range(1, p):
             alpha = Residue(a, p)
-            for n in {p - 1, p, p + 1, rng.randrange(3 * p)}:
-                assert (
-                    qfib_mod_andrews(n, alpha, d).value
-                    == qfib_mod_recurrence(n, alpha).value
-                )
+            assert qfib_mod_andrews(p, alpha, _order(a, p)) == qfib_mod_recurrence(p, alpha), (p, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ODD_PRIMES).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+def test_qfib_mod_andrews_matches_recurrence_on_drawn_primes(pa):
+    p, a = pa
+    alpha = Residue(a, p)
+    assert qfib_mod_andrews(p, alpha, _order(a, p)) == qfib_mod_recurrence(p, alpha)
+
+
+def test_andrews_sum_matches_recurrence_for_every_n():
+    rng = random.Random(7)
+    for p in _ODD_PRIMES:
+        if p > 60:
+            break
+        for a in range(2, p):
+            seq = qfib_seq_mod(3 * p, a, p)
+            for n in {0, 1, p - 1, p, p + 1, rng.randrange(3 * p)}:
+                assert andrews_sum(n, a, p) == seq[n], (n, a, p)
 
 
 def test_andrews_window_is_wide_enough():
-    # widening the frozen j-interval by 3 on each side only adds terms whose
+    # widening the oracle's j-interval by 3 on each side only adds terms whose
     # q-binomial argument is out of range, so no value can change
     for n in range(1, 401):
-        window = _andrews_j_range(n)
+        window = andrews_j_range(n)
         for j in list(range(window.start - 3, window.start)) + list(
             range(window.stop, window.stop + 3)
         ):
             m = (n - 1 - 5 * j) // 2
             assert m < 0 or m > n - 1
+
+
+def test_context_tables():
+    ctx = QLucasContext(Residue(2, 7))
+    assert ctx.d == 3
+    for n in range(7):
+        for m in range(-1, n + 2):
+            assert ctx.comb_mod(n, m) == (math.comb(n, m) % 7 if m >= 0 else 0)
+    for n in (7, 10, -1):
+        with pytest.raises(DomainError):
+            ctx.comb_mod(n, 1)
+
+
+def test_context_tables_grow_only_as_far_as_read():
+    # at n = p with a primitive root the route reads C(I, k) with I = 1: 0! and 1!
+    p = 140_009
+    a = next(a for a in range(2, p) if multiplicative_order(Residue(a, p)) == p - 1)
+    alpha = Residue(a, p)
+    assert qfib_mod_andrews(p, alpha, p - 1) == qfib_mod_recurrence(p, alpha)
+    assert len(_context(p, a)._fact) <= 2
 
 
 def test_fib_and_fib_mod():
