@@ -226,31 +226,25 @@ _CROSS_CHECKS = {
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
 
 
+def make_record(rd: ResidualData, lhs: int, paths: frozenset[str]) -> CongruenceRecord:
+    """The record of one applicable pair whose F_p(alpha) mod p is lhs, in [0, p); every
+    other requested route is evaluated and only decides whether the routes agree."""
+    values = {lhs, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
+    n_star = predicted_index(rd)
+    rhs = fib_mod(n_star, rd.p)
+    return CongruenceRecord(data=rd, lhs=Residue(lhs, rd.p), predicted_index=n_star, rhs=rhs,
+                            match=lhs == rhs.value, paths_agree=len(values) == 1)
+
+
 def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[CongruenceRecord]:
     """One record per applicable pair, in the given order.
 
     The recurrence, the ground truth, runs as one batch over all the pairs
-    and gives each record's left side; every other requested route is
-    evaluated per pair and only decides whether the routes agree.
+    and gives each record's left side.
     """
     rds = list(rds)
-    lhs_values = qfib_mod_recurrence_many(
-        [rd.p for rd in rds], [rd.alpha_res.value for rd in rds]
-    )
-    records = []
-    for rd, lhs in zip(rds, lhs_values):
-        values = {lhs, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
-        n_star = predicted_index(rd)
-        rhs = fib_mod(n_star, rd.p)
-        records.append(CongruenceRecord(
-            data=rd,
-            lhs=Residue(lhs, rd.p),
-            predicted_index=n_star,
-            rhs=rhs,
-            match=lhs == rhs.value,
-            paths_agree=len(values) == 1,
-        ))
-    return records
+    lhs_values = qfib_mod_recurrence_many([rd.p for rd in rds], [rd.alpha_res.value for rd in rds])
+    return [make_record(rd, lhs, paths) for rd, lhs in zip(rds, lhs_values)]
 
 
 def _classify(alpha: Fraction, primes: Iterable[int], skipped: dict[str, int]) -> Iterator[ResidualData]:
@@ -291,8 +285,9 @@ def run_chunks(
     caller must give p_min >= 3 and an alpha outside {0, 1}.  The primes
     are dealt into one chunk per worker by split_chunks.  The non-empty
     chunks run in one process pool of at most one process per chunk and
-    per CPU, or inline when that is one.  Each call gets an iterator over its chunk's applicable residual data, in
-    ascending p, followed by extra; it must exhaust the iterator, which
+    per CPU, or inline when that is one.  Each call gets an iterator over
+    its chunk's applicable residual data, in ascending p, followed by
+    extra; it must exhaust the iterator, which
     counts the other primes by reason as it goes.  Returns the chunk
     results in chunk order and the skip counts summed over chunks.
     """
@@ -310,6 +305,16 @@ def run_chunks(
     return [result for result, _ in parts], skipped
 
 
+def scan_request(alpha: Rational, p_min: int, p_max: int,
+                 paths: frozenset[str]) -> tuple[Fraction, frozenset[str]]:
+    """scan_range's input checks, made before any work; returns the alpha and the paths to scan."""
+    _check_request(paths, p_max)
+    alpha = _require_alpha(alpha)
+    if not 2 < p_min <= p_max:
+        raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
+    return alpha, paths | {"recurrence"}
+
+
 def scan_range(
     alpha: Rational,
     p_min: int,
@@ -323,17 +328,7 @@ def scan_range(
     Records depend only on (alpha, p) and are sorted by p after the merge,
     so the output is identical for any worker count.
     """
-    _check_request(paths, p_max)
-    alpha = _require_alpha(alpha)
-    if not 2 < p_min <= p_max:
-        raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
-    paths = paths | {"recurrence"}
+    alpha, paths = scan_request(alpha, p_min, p_max, paths)
     parts, skipped = run_chunks(build_records, alpha, p_min, p_max, workers, paths)
-    return ScanReport(
-        alpha=alpha,
-        p_min=p_min,
-        p_max=p_max,
-        paths=tuple(sorted(paths)),
-        records=sorted((r for records in parts for r in records), key=lambda r: r.p),
-        skipped=skipped,
-    )
+    records = sorted((r for records in parts for r in records), key=lambda r: r.p)
+    return ScanReport(alpha, p_min, p_max, tuple(sorted(paths)), records, skipped)

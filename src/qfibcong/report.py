@@ -11,15 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .congruence import CongruenceRecord, ScanReport
-from .modarith import lsym5, multiplicative_order, reduce_rational
-from .qfib import RECURRENCE_MAX_P, fib_mod
+from .congruence import (
+    CongruenceRecord,
+    ScanReport,
+    build_records,
+    make_record,
+    run_chunks,
+    scan_request,
+)
+from .density import delta_truncated, v_count
+from .errors import DomainError
 
 FORMAT_VERSION = 1
 
@@ -171,16 +177,20 @@ def check_report(path: str) -> list[str]:
     return [f"unknown report kind: {kind!r}"]
 
 
-def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=()) -> list[str]:
+def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=(),
+               str_lists=()) -> list[str]:
     """Shape problems of one JSON value: it must be an object, and each of the
-    named fields it holds an integer, a decimal string or a list of integers."""
+    named fields it holds an integer, a decimal string or a list of integers
+    or of strings."""
     if not isinstance(obj, dict):
         return [f"{where} is not an object"]
     kinds = ((ints, "an integer", lambda v: type(v) is int),
              (decimals, "a decimal string",
               lambda v: isinstance(v, str) and v.removeprefix("-").isdecimal()),
              (int_lists, "a list of integers",
-              lambda v: isinstance(v, list) and all(type(w) is int for w in v)))
+              lambda v: isinstance(v, list) and all(type(w) is int for w in v)),
+             (str_lists, "a list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)))
     return [f"{where}: {key} is not {name}"
             for keys, name, ok in kinds for key in keys if key in obj and not ok(obj[key])]
 
@@ -194,68 +204,68 @@ def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
 
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
-    """Consistency of a scan report, plus a recomputation of each record's
-    right side, order and symbol, at O(log p) plus the factoring of p - 1 per record."""
+    """Rebuild a scan report by the calls scan makes, and list where it differs.
+
+    A record is rebuilt with the report's own lhs where that is a residue of
+    p; the recurrence runs only for the window's other applicable primes.
+    """
     records = payload.get("records", [])
-    summary = payload.get("summary", {})
     meta = payload.get("metadata", {})
-    problems = (_malformed("metadata", meta, ints=("p_min", "p_max")) + _malformed("summary", summary)
+    problems = (_malformed("metadata", meta, ints=("p_min", "p_max"), str_lists=("paths",))
+                + _malformed("summary", payload.get("summary", {}))
                 + _malformed_list("records", records, "record", decimals=("lhs", "rhs"),
                                   ints=("p", "ord", "index", "lsym", "predicted_index")))
     if problems:
         return problems
     try:
         alpha = Fraction(meta.get("alpha", ""))
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ArithmeticError):
         return ["metadata.alpha unparsable"]
-    last_p = 0
-    matched = mismatched = 0
-    for i, r in enumerate(records):
-        p = r.get("p", 0)
-        if p <= last_p:
-            problems.append(f"record {i}: primes not strictly increasing at p={p}")
-        last_p = p
-        if not (meta.get("p_min", 0) <= p <= meta.get("p_max", 0)):
-            problems.append(f"record {i}: p={p} outside scanned range")
-        if r.get("ord", 0) * r.get("index", 0) != p - 1:
-            problems.append(f"record {i}: ord * index != p - 1")
-        if r.get("lsym") not in (-1, 1):
-            problems.append(f"record {i}: lsym must be +-1")
-        if r.get("predicted_index") != r.get("index", 0) + r.get("lsym", 0):
-            problems.append(f"record {i}: predicted_index != index + lsym")
-        match = int(r.get("lhs", "-1")) == int(r.get("rhs", "-2"))
-        if match != r.get("match"):
-            problems.append(f"record {i}: match flag inconsistent with lhs/rhs")
-        if r.get("paths_agree") is not True:
-            problems.append(f"record {i}: the evaluation routes disagree")
-        problems += _recompute_record(i, r, alpha)
-        matched += match
-        mismatched += not match
-    if summary.get("checked") != len(records):
-        problems.append("summary.checked != number of records")
-    if summary.get("matched") != matched:
-        problems.append("summary.matched inconsistent with records")
-    if summary.get("mismatched") != mismatched:
-        problems.append("summary.mismatched inconsistent with records")
+    p_min, p_max = meta.get("p_min", 0), meta.get("p_max", 0)
+    try:
+        alpha, paths = scan_request(alpha, p_min, p_max, frozenset(meta.get("paths", ())))
+    except DomainError as exc:
+        return [f"cannot rebuild: {exc}"]
+    # a string longer than str(p) is no residue, and could pass int()'s digit limit
+    lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("lhs", "").isdecimal()
+           and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
+    parts, skipped = run_chunks(_rebuild_records, alpha, p_min, p_max, 1, lhs, paths)
+    rebuilt = scan_report_dict(ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),
+                                          [r for part in parts for r in part], skipped))
+    return (_compare(payload, rebuilt, "records", "p", "an applicable prime of the window")
+            + [f"record {i}: the evaluation routes disagree"
+               for i, r in enumerate(records) if r.get("paths_agree") is not True])
+
+
+def _rebuild_records(rds, lhs: dict[int, int], paths: frozenset[str]) -> list[CongruenceRecord]:
+    """A chunk's records, with the recurrence's lhs for the primes that lhs lacks."""
+    rds = list(rds)
+    computed = iter(build_records([rd for rd in rds if rd.p not in lhs], paths))
+    return [make_record(rd, lhs[rd.p], paths) if rd.p in lhs else next(computed) for rd in rds]
+
+
+def _compare(payload: dict[str, Any], rebuilt: dict[str, Any], items: str, key: str,
+             what: str) -> list[str]:
+    """Where a report's body differs from its rebuild: the list payload[items]
+    matched on key, then every other object, then anything else at all."""
+    label, mine = items[:-1], payload.get(items, [])
+    theirs = {item[key]: item for item in rebuilt[items]}
+    problems = [_differing(f"{label} {i}", item, theirs[item.get(key)])
+                if item.get(key) in theirs else f"{label} {i}: {key}={item.get(key)} is not {what}"
+                for i, item in enumerate(mine)]
+    present = {item.get(key) for item in mine}
+    problems += [f"no {label} for {key}={k}, {what}" for k in theirs if k not in present]
+    problems += [_differing(name, payload.get(name, {}), value)
+                 for name, value in rebuilt.items() if isinstance(value, dict) and name != "run"]
+    problems = [problem for problem in problems if problem]
+    if not problems and {**payload, "run": {}} != rebuilt:
+        problems.append("the report differs from its rebuild")  # such as its items' order
     return problems
 
 
-def _recompute_record(i: int, r: dict[str, Any], alpha: Fraction) -> list[str]:
-    p, d, n = r.get("p", 0), r.get("ord", 0), r.get("predicted_index", -1)
-    if (not 3 <= p <= RECURRENCE_MAX_P or d < 1 or n < 0
-            or math.gcd(alpha.numerator * alpha.denominator, p) != 1):
-        return [f"record {i}: cannot recompute at p={p}"]
-    problems = []
-    res = reduce_rational(alpha, p)
-    if pow(res.value, d, p) != 1:
-        problems.append(f"record {i}: alpha^ord != 1 mod p")
-    elif multiplicative_order(res) != d:
-        problems.append(f"record {i}: ord is not the least exponent with alpha^ord = 1 mod p")
-    if r.get("lsym") != lsym5(d):
-        problems.append(f"record {i}: lsym != (ord/5)")
-    if int(r.get("rhs", "-1")) != fib_mod(n, p).value:
-        problems.append(f"record {i}: rhs != F_predicted_index mod p")
-    return problems
+def _differing(where: str, obj: dict[str, Any], built: dict[str, Any]) -> str | None:
+    fields = [] if obj == built else [k for k in {**built, **obj} if obj.get(k) != built.get(k)]
+    return f"{where} differs from the rebuild in {', '.join(fields)}" if fields else None
 
 
 def _check_stats(payload: dict[str, Any]) -> list[str]:
@@ -289,27 +299,20 @@ def _check_stats(payload: dict[str, Any]) -> list[str]:
 
 
 def _check_density(payload: dict[str, Any]) -> list[str]:
-    summary = payload.get("summary", {})
-    terms = payload.get("terms", [])
-    problems = _malformed("summary", summary) + _malformed_list("terms", terms, "term")
+    """Rebuild a density report by the calls density makes, and list where it differs."""
+    meta, empirical = payload.get("metadata", {}), payload.get("empirical", {})
+    problems = (_malformed("metadata", meta, ints=("a", "d", "t", "truncation"), decimals=("g",))
+                + _malformed("summary", payload.get("summary", {}))
+                + _malformed_list("terms", payload.get("terms", []), "term", ints=("n",))
+                + _malformed("empirical", empirical, ints=("x",)))
     if problems:
         return problems
-    try:
-        partial = Fraction(summary.get("partial_sum", "0"))
-        tail = Fraction(summary.get("tail_bound", "0"))
-        lower = Fraction(summary.get("lower_bound", "0"))
-    except (TypeError, ValueError, ZeroDivisionError):
-        return ["summary fractions unparsable"]
-    if partial - tail != lower:
-        problems.append("lower_bound != partial_sum - tail_bound")
-    if (lower > 0) != summary.get("positive"):
-        problems.append("positive flag inconsistent with lower_bound")
-    term_sum = Fraction(0)
-    for t in terms:
-        try:
-            term_sum += Fraction(t.get("value", "0"))
-        except (TypeError, ValueError, ZeroDivisionError):
-            problems.append(f"term n={t.get('n')}: value unparsable")
-    if term_sum != partial:
-        problems.append("partial_sum != sum of term values")
-    return problems
+    try:  # int() refuses a g past its digit limit, as the CLI's --g does
+        est = delta_truncated(int(meta.get("g", "0")),
+                              *(meta.get(k, 0) for k in ("a", "d", "t", "truncation")))
+        vc = (v_count(est.g, est.a, est.d, est.t, empirical.get("x", 0))
+              if "empirical" in payload else None)
+    except (DomainError, ValueError) as exc:
+        return [f"cannot rebuild: {exc}"]
+    return _compare(payload, density_report_dict(est, vc), "terms", "n",
+                    "a term of the truncation")

@@ -1,10 +1,11 @@
 import csv
 import json
+from fractions import Fraction
 
-from qfibcong import cli, congruence
+from qfibcong import cli, congruence, report
 from qfibcong.cli import main
 from qfibcong.modarith import Residue, lsym5
-from qfibcong.qfib import fib_mod
+from qfibcong.qfib import POLY_MAX_N, RECURRENCE_MAX_P, fib_mod
 from qfibcong.report import check_report
 
 
@@ -162,12 +163,13 @@ def test_check_command(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0 and "ok" in out
 
-    # corrupt a record: the revalidator must notice
+    # corrupt a record: 5 is not a residue mod 3, so the rebuild takes the recurrence's lhs
     payload = json.loads(path.read_text())
     payload["records"][0]["lhs"] = "5"
     path.write_text(json.dumps(payload))
+    assert check_report(str(path)) == ["record 0 differs from the rebuild in lhs"]
     code, _, err = run(capsys, "check", str(path))
-    assert code == 1 and "match flag" in err
+    assert code == 1 and err == f"{path}: record 0 differs from the rebuild in lhs\n"
 
     # a record whose two sides were both moved to the same wrong value:
     # only recomputing the right side can see it
@@ -178,14 +180,28 @@ def test_check_command(capsys, tmp_path):
     wrong = str((int(record["rhs"]) + 1) % record["p"])
     record["lhs"] = record["rhs"] = wrong
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 1 and "record 5: rhs != F_predicted_index mod p" in err
+    assert check_report(str(path)) == [
+        "record 5 differs from the rebuild in rhs, match",
+        "summary differs from the rebuild in matched, mismatched",
+    ]
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 1
 
-    # a record whose order is wrong for metadata.alpha
+    # records whose order and index are wrong for metadata.alpha
+    path = tmp_path / "r30.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "30", "--out", str(path))
+    payload = json.loads(path.read_text())
     payload["metadata"]["alpha"] = "3"
     path.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 1 and "alpha^ord != 1 mod p" in err
+    assert check_report(str(path)) == [
+        "record 0: p=3 is not an applicable prime of the window",
+        "record 2 differs from the rebuild in ord, index, lsym, predicted_index",
+        "record 3 differs from the rebuild in ord, index, predicted_index, rhs, match",
+        "record 4 differs from the rebuild in ord, index, lsym, predicted_index",
+        "summary differs from the rebuild in checked, matched, mismatched, skipped",
+    ]
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 1
 
     # record 5 (p = 19, ord = 18) with its symbol flipped to +1 and every field
     # derived from it made consistent: only recomputing (ord/5) can see it
@@ -199,12 +215,15 @@ def test_check_command(capsys, tmp_path):
     record["lhs"] = record["rhs"] = str(fib_mod(2, 19).value)
     record["match"] = True
     path.write_text(json.dumps(payload))
-    assert check_report(str(path)) == ["record 5: lsym != (ord/5)"]
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 1 and "record 5: lsym != (ord/5)" in err
+    assert check_report(str(path)) == [
+        "record 5 differs from the rebuild in lsym, predicted_index, rhs, match",
+        "summary differs from the rebuild in matched, mismatched",
+    ]
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 1
 
     # a record whose ord is a multiple of the true order, with every field
-    # derived from it made consistent: only the minimality check can see it
+    # derived from it made consistent: only recomputing the order can see it
     path = tmp_path / "r_ord.json"
     run(capsys, "scan", "--alpha", "2", "--pmax", "2000", "--out", str(path))
     payload = json.loads(path.read_text())
@@ -217,10 +236,10 @@ def test_check_command(capsys, tmp_path):
     record["match"] = True
     path.write_text(json.dumps(payload))
     assert check_report(str(path)) == [
-        f"record {i}: ord is not the least exponent with alpha^ord = 1 mod p"
+        f"record {i} differs from the rebuild in ord, index, lsym, predicted_index"
     ]
-    code, _, err = run(capsys, "check", str(path))
-    assert code == 1 and "ord is not the least exponent" in err
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == 1
 
     missing = tmp_path / "nope.json"
     code, _, _ = run(capsys, "check", str(missing))
@@ -383,7 +402,7 @@ def test_check_lists_malformed_reports(capsys, tmp_path):
         (tampered("stats", "by_value", "0", value="3"), "by_value: 0 is not an integer"),
         (tampered("density", "summary", value=[]), "summary is not an object"),
         (tampered("density", "summary", "partial_sum", value=None),
-         "summary fractions unparsable"),
+         "summary differs from the rebuild in partial_sum"),
         (tampered("density", "terms", value=7), "terms is not a list"),
         (tampered("density", "terms", 0, value=7), "term 0 is not an object"),
     ]
@@ -394,19 +413,105 @@ def test_check_lists_malformed_reports(capsys, tmp_path):
         code, out, err = run(capsys, "check", str(path))
         assert code == 1 and out == "" and err == f"{path}: {problem}\n"
 
-    # a record at a composite p where alpha's denominator is not a unit: no pow(3, -1, 9)
+    # a record at a composite p, then one past the recurrence bound that scan enforces:
+    # each is named as a prime the window lacks, and neither is factored or reduced mod p
     path = tmp_path / "third.json"
     run(capsys, "scan", "--alpha", "1/3", "--pmax", "100", "--out", str(path))
     payload = json.loads(path.read_text())
     assert payload["records"][2]["p"] == 13
-    payload["records"][2].update(p=9, ord=2, index=4)
-    path.write_text(json.dumps(payload))
-    assert "record 2: cannot recompute at p=9" in check_report(str(path))
-    code, _, _ = run(capsys, "check", str(path))
-    assert code == 1
-    # a record past the recurrence bound that scan enforces, where alpha^ord = 1 holds by
-    # Fermat: its order would factor p - 1 by Pollard rho
-    p = 2000000000000008396000000000000075403
-    payload["records"][2].update(p=p, ord=p - 1, index=1)
-    path.write_text(json.dumps(payload))
-    assert f"record 2: cannot recompute at p={p}" in check_report(str(path))
+    for p in (9, 2000000000000008396000000000000075403):
+        payload["records"][2].update(p=p, ord=p - 1, index=1)
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == [
+            f"record 2: p={p} is not an applicable prime of the window",
+            "no record for p=13, an applicable prime of the window",
+        ]
+        code, _, _ = run(capsys, "check", str(path))
+        assert code == 1
+
+
+def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
+    # tampers whose every summary count was kept consistent with the records
+    path = tmp_path / "r1000.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "1000", "--out", str(path))
+    body = path.read_text()
+
+    def check(payload, problems):
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == problems
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == "".join(f"{path}: {problem}\n" for problem in problems)
+
+    # 645 = 3 * 5 * 43 is a base-2 Fermat pseudoprime, with ord 28 and index 23
+    payload = json.loads(body)
+    k = next(k for k, r in enumerate(payload["records"]) if r["p"] > 645)
+    value = str(fib_mod(22, 645).value)
+    payload["records"].insert(k, {"p": 645, "ord": 28, "index": 23, "lsym": -1,
+                                  "predicted_index": 22, "lhs": value, "rhs": value,
+                                  "match": True, "paths_agree": True})
+    payload["summary"]["checked"] += 1
+    payload["summary"]["matched"] += 1
+    check(payload, [f"record {k}: p=645 is not an applicable prime of the window",
+                    "summary differs from the rebuild in checked, matched"])
+
+    # an lhs past int()'s digit limit
+    payload = json.loads(body)
+    payload["records"][5]["lhs"] = "7" * 5000
+    check(payload, ["record 5 differs from the rebuild in lhs"])
+
+    payload = json.loads(body)
+    deleted = payload["records"].pop(7)
+    payload["summary"]["checked"] -= 1
+    payload["summary"]["matched"] -= 1
+    check(payload, [f"no record for p={deleted['p']}, an applicable prime of the window",
+                    "summary differs from the rebuild in checked, matched"])
+
+    payload = json.loads(body)
+    payload["summary"]["skipped"]["OrdDivisibleBy5"] += 3
+    check(payload, ["summary differs from the rebuild in skipped"])
+
+    # a window that scan would refuse is refused before any sieving
+    def refuse(*args):
+        raise AssertionError("the window was sieved before the input checks")
+
+    monkeypatch.setattr(report, "run_chunks", refuse)
+    payload = json.loads(body)
+    payload["metadata"]["p_max"] = RECURRENCE_MAX_P + 1
+    check(payload, [f"cannot rebuild: the recurrence kernel needs p <= {RECURRENCE_MAX_P}, "
+                    f"got {RECURRENCE_MAX_P + 1}"])
+    payload = json.loads(body)
+    payload["metadata"]["paths"] = ["poly", "recurrence"]
+    check(payload, [f"cannot rebuild: the poly route needs p <= {POLY_MAX_N}, got 1000"])
+
+
+def test_check_rebuilds_density_reports(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    run(capsys, "density", "--g", "2", "--t", "11", "--trunc", "200", "--out", str(path))
+    body = path.read_text()
+
+    def check(payload, problems):
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == problems
+        code, _, _ = run(capsys, "check", str(path))
+        assert code == 1
+
+    def consistent(summary, partial, tail):
+        lower = partial - tail
+        summary.update(partial_sum=str(partial), tail_bound=str(tail),
+                       lower_bound=str(lower), positive=lower > 0)
+
+    payload = json.loads(body)
+    term, summary = payload["terms"][1], payload["summary"]
+    old = Fraction(term["value"])
+    term["degree"] = str(2 * int(term["degree"]))
+    term["value"] = str(old / 2)
+    consistent(summary, Fraction(summary["partial_sum"]) - old / 2,
+               Fraction(summary["tail_bound"]))
+    check(payload, ["term 1 differs from the rebuild in degree, value",
+                    "summary differs from the rebuild in partial_sum, lower_bound"])
+
+    payload = json.loads(body)
+    summary = payload["summary"]
+    consistent(summary, Fraction(summary["partial_sum"]), Fraction(summary["tail_bound"]) / 2)
+    check(payload, ["summary differs from the rebuild in tail_bound, lower_bound"])
