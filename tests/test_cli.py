@@ -392,6 +392,8 @@ def test_check_lists_malformed_reports(capsys, tmp_path):
         (tampered("scan", "records", 5, "lhs", value="abc"),
          "record 5: lhs is not a decimal string"),
         (tampered("scan", "metadata", "p_max", value="100"), "metadata: p_max is not an integer"),
+        (tampered("scan", "metadata", "alpha", value=float("inf")), "metadata.alpha unparsable"),
+        (tampered("scan", "metadata", "paths", value=[1]), "metadata: paths is not a list of strings"),
         (tampered("stats", "summary", value=[]), "summary is not an object"),
         (tampered("stats", "by_index", value=[1]), "by_index is not an object"),
         (tampered("stats", "by_index", "0", value=3), "index 0 is not an object"),
