@@ -124,6 +124,10 @@ def _require_alpha(alpha: Rational) -> Fraction:
     alpha = Fraction(alpha)
     if alpha == 0 or alpha == 1:
         raise DomainError("alpha must avoid 0 and 1")
+    try:  # scan and verify print alpha after their work: refuse one that str() cannot print
+        str(alpha)
+    except ValueError:
+        raise DomainError("alpha's numerator or denominator is past int()'s digit limit") from None
     return alpha
 
 

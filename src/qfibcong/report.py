@@ -26,6 +26,7 @@ from .congruence import (
 )
 from .density import delta_truncated, v_count
 from .errors import DomainError
+from .stats import occurrence_histogram
 
 FORMAT_VERSION = 1
 
@@ -244,12 +245,12 @@ def _rebuild_records(rds, lhs: dict[int, int], paths: frozenset[str]) -> list[Co
     return [make_record(rd, lhs[rd.p], paths) if rd.p in lhs else next(computed) for rd in rds]
 
 
-def _compare(payload: dict[str, Any], rebuilt: dict[str, Any], items: str, key: str,
-             what: str) -> list[str]:
-    """Where a report's body differs from its rebuild: the list payload[items]
-    matched on key, then every other object, then anything else at all."""
-    label, mine = items[:-1], payload.get(items, [])
-    theirs = {item[key]: item for item in rebuilt[items]}
+def _compare(payload: dict[str, Any], rebuilt: dict[str, Any], items: str = "", key: str = "",
+             what: str = "") -> list[str]:
+    """Where a report's body differs from its rebuild: the list payload[items], if
+    named, matched on key, then every other object, then anything else at all."""
+    label, mine = items[:-1], payload.get(items, []) if items else []
+    theirs = {item[key]: item for item in rebuilt.get(items, [])}
     problems = [_differing(f"{label} {i}", item, theirs[item.get(key)])
                 if item.get(key) in theirs else f"{label} {i}: {key}={item.get(key)} is not {what}"
                 for i, item in enumerate(mine)]
@@ -269,33 +270,23 @@ def _differing(where: str, obj: dict[str, Any], built: dict[str, Any]) -> str | 
 
 
 def _check_stats(payload: dict[str, Any]) -> list[str]:
-    by_index = payload.get("by_index", {})
-    by_value = payload.get("by_value", {})
-    summary = payload.get("summary", {})
+    """Rebuild a stats report by the call stats makes, at one worker, and list where it differs."""
+    meta, by_index, by_value = (payload.get(k, {}) for k in ("metadata", "by_index", "by_value"))
     if not isinstance(by_index, dict):
         return ["by_index is not an object"]
-    problems = _malformed("summary", summary) + _malformed("by_value", by_value, ints=by_value)
+    problems = (_malformed("metadata", meta, ints=("x", "witness_cap"), decimals=("g",))
+                + _malformed("summary", payload.get("summary", {}))
+                + _malformed("by_value", by_value, ints=by_value))
     for key, entry in by_index.items():
         problems += _malformed(f"index {key}", entry, ints=("count",), int_lists=("witnesses",))
     if problems:
         return problems
-    total = 0
-    for key, entry in by_index.items():
-        count = entry.get("count", 0)
-        witnesses = entry.get("witnesses", [])
-        total += count
-        if len(witnesses) > count:
-            problems.append(f"index {key}: more witnesses than the count")
-        if sorted(witnesses) != witnesses:
-            problems.append(f"index {key}: witnesses not sorted")
-    if summary.get("primes_checked") != total:
-        problems.append("summary.primes_checked != sum of index counts")
-    value_total = sum(by_value.values())
-    if value_total != total:
-        problems.append("by_value counts do not account for every prime")
-    if summary.get("distinct_indices") != len(by_index):
-        problems.append("summary.distinct_indices inconsistent")
-    return problems
+    try:  # int() refuses a g past its digit limit, as the CLI's --g does
+        rep = occurrence_histogram(int(meta.get("g", "0")), meta.get("x", 0), 1,
+                                   meta.get("witness_cap", 0))
+    except (DomainError, ValueError) as exc:
+        return [f"cannot rebuild: {exc}"]
+    return _compare(payload, stats_report_dict(rep))
 
 
 def _check_density(payload: dict[str, Any]) -> list[str]:

@@ -79,6 +79,8 @@ def occurrence_histogram(
     _require_base(g)
     if x < 2:
         raise DomainError(f"occurrence_histogram needs x >= 2, got {x}")
+    if witness_cap < 0:
+        raise DomainError(f"occurrence_histogram needs witness_cap >= 0, got {witness_cap}")
     parts, skipped = run_chunks(_histogram_chunk, Fraction(g), 3, x, workers, witness_cap)
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}

@@ -66,6 +66,13 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 2
     code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "9")
     assert code == 2
+    # an alpha that str() cannot print is refused before its residual data
+    def no_work(*args):
+        raise AssertionError("residual data computed before the alpha check")
+
+    monkeypatch.setattr(congruence, "_residual_data", no_work)
+    code, out, err = run(capsys, "verify", "--alpha", "1e5000", "--p", "7")
+    assert code == 2 and out == "" and "digit limit" in err
     # an unknown route is a usage error even at a prime where the pair is inapplicable
     code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "11", "--paths", "nonsense")
     assert code == 2 and "nonsense" in err
@@ -80,7 +87,11 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 2 and "3037000500" in err
 
 
-def test_scan_refuses_bad_input_before_any_work(capsys):
+def test_scan_refuses_bad_input_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the window was sieved before the input checks")
+
+    monkeypatch.setattr(congruence, "run_chunks", no_work)
     code, _, err = run(capsys, "scan", "--alpha", "2", "--pmin", "11", "--pmax", "12",
                        "--paths", "nonsense")
     assert code == 2 and "nonsense" in err
@@ -88,6 +99,9 @@ def test_scan_refuses_bad_input_before_any_work(capsys):
     code, _, err = run(capsys, "scan", "--alpha", "2", "--pmin", "3037000493",
                        "--pmax", "3037000600")
     assert code == 2 and "3037000500" in err
+    # an alpha whose numerator str() cannot print, as scan would after the whole window
+    code, out, err = run(capsys, "scan", "--alpha", "1e5000", "--pmax", "200")
+    assert code == 2 and out == "" and "digit limit" in err
 
 
 def test_worker_counts_below_one_are_refused(capsys):
@@ -395,6 +409,11 @@ def test_check_lists_malformed_reports(capsys, tmp_path):
         (tampered("scan", "metadata", "alpha", value=float("inf")), "metadata.alpha unparsable"),
         (tampered("scan", "metadata", "paths", value=[1]), "metadata: paths is not a list of strings"),
         (tampered("stats", "summary", value=[]), "summary is not an object"),
+        (tampered("stats", "metadata", value=[]), "metadata is not an object"),
+        (tampered("stats", "metadata", "g", value=2), "metadata: g is not a decimal string"),
+        (tampered("stats", "metadata", "x", value="100"), "metadata: x is not an integer"),
+        (tampered("stats", "metadata", "witness_cap", value=None),
+         "metadata: witness_cap is not an integer"),
         (tampered("stats", "by_index", value=[1]), "by_index is not an object"),
         (tampered("stats", "by_index", "0", value=3), "index 0 is not an object"),
         (tampered("stats", "by_index", "0", "count", value="3"),
@@ -485,6 +504,9 @@ def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
     payload = json.loads(body)
     payload["metadata"]["paths"] = ["poly", "recurrence"]
     check(payload, [f"cannot rebuild: the poly route needs p <= {POLY_MAX_N}, got 1000"])
+    payload = json.loads(body)
+    payload["metadata"]["alpha"] = "1e5000"
+    check(payload, ["cannot rebuild: alpha's numerator or denominator is past int()'s digit limit"])
 
 
 def test_check_rebuilds_density_reports(capsys, tmp_path):
@@ -517,3 +539,73 @@ def test_check_rebuilds_density_reports(capsys, tmp_path):
     summary = payload["summary"]
     consistent(summary, Fraction(summary["partial_sum"]), Fraction(summary["tail_bound"]) / 2)
     check(payload, ["summary differs from the rebuild in tail_bound, lower_bound"])
+
+
+def test_check_rebuilds_stats_reports(capsys, tmp_path):
+    path = tmp_path / "s2000.json"
+    run(capsys, "stats", "--g", "2", "--x", "2000", "--out", str(path))
+    body = path.read_text()
+
+    def check(tamper, problems):
+        payload = json.loads(body)
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == problems
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == "".join(f"{path}: {problem}\n" for problem in problems)
+
+    # a prime moved from bucket 1 to bucket 2: F_1 = F_2 = 1, so by_value is unchanged
+    def move(payload):
+        one, two = payload["by_index"]["1"], payload["by_index"]["2"]
+        two["witnesses"] = sorted(two["witnesses"] + [one["witnesses"].pop()])
+        one["count"] -= 1
+        two["count"] += 1
+
+    check(move, ["by_index differs from the rebuild in 1, 2"])
+    check(lambda payload: payload["metadata"].update(x=1500), [
+        "summary differs from the rebuild in primes_checked, primes_skipped, distinct_indices, "
+        "distinct_values",
+        "by_index differs from the rebuild in 0, 1, 2, 3, 4, 5, 8, 9, 13, 17, 30, 25",
+        "by_value differs from the rebuild in 0, 1, 1597, 2, 21, 233, 3, 34, 5, 832040, 75025",
+    ])
+    check(lambda payload: payload["summary"]["primes_skipped"].update(OrdDivisibleBy5=68),
+          ["summary differs from the rebuild in primes_skipped"])
+    check(lambda payload: payload["metadata"].update(g="3"), [
+        "summary differs from the rebuild in primes_checked, primes_skipped, distinct_indices, "
+        "distinct_values",
+        "by_index differs from the rebuild in 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 23, "
+        "25, 29, 31, 40, 85, 109, 155, 17, 18, 30, 39",
+        "by_value differs from the rebuild in 0, 1, 102334155, "
+        "110560307156090817237632754212345, 13, 1346269, 2, 21, 259695496911122585, "
+        "26925748508234281076009, 28657, 3, 34, 5, 514229, 55, 610, 89, 1597, 2584, 63245986, "
+        "832040",
+    ])
+
+    # what the consistency rules of earlier versions caught, the rebuild catches too:
+    # more witnesses than the count, unsorted witnesses, and three summary totals
+    zero = "by_index differs from the rebuild in 0"
+    check(lambda payload: payload["by_index"]["0"].update(count=53), [zero])
+    check(lambda payload: payload["by_index"]["0"]["witnesses"].reverse(), [zero])
+    check(lambda payload: payload["summary"].update(primes_checked=238),
+          ["summary differs from the rebuild in primes_checked"])
+    check(lambda payload: payload["by_value"].update({"0": 55}),
+          ["by_value differs from the rebuild in 0"])
+    check(lambda payload: payload["summary"].update(distinct_indices=19),
+          ["summary differs from the rebuild in distinct_indices"])
+
+    # inputs that stats refuses, each one listed problem
+    check(lambda payload: payload["metadata"].update(g="4"),
+          ["cannot rebuild: base must be a square-free integer >= 2, got 4"])
+    check(lambda payload: payload["metadata"].update(x=1),
+          ["cannot rebuild: occurrence_histogram needs x >= 2, got 1"])
+    check(lambda payload: payload["metadata"].update(witness_cap=-1),
+          ["cannot rebuild: occurrence_histogram needs witness_cap >= 0, got -1"])
+    # a g past int()'s digit limit, whose message is Python's own
+    payload = json.loads(body)
+    payload["metadata"]["g"] = "7" * 5000
+    path.write_text(json.dumps(payload))
+    [problem] = check_report(str(path))
+    assert problem.startswith("cannot rebuild: ") and "digits" in problem
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 1 and err == f"{path}: {problem}\n"

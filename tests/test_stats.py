@@ -76,3 +76,5 @@ def test_histogram_domain():
         occurrence_histogram(4, 100)
     with pytest.raises(DomainError):
         occurrence_histogram(2, 1)
+    with pytest.raises(DomainError):  # would silently empty every witness list
+        occurrence_histogram(2, 200, witness_cap=-1)
