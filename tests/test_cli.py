@@ -594,7 +594,7 @@ def test_check_rebuilds_stats_reports(capsys, tmp_path):
     check(lambda payload: payload["summary"].update(distinct_indices=19),
           ["summary differs from the rebuild in distinct_indices"])
 
-    # inputs that stats refuses, each one listed problem
+    # inputs that occurrence_histogram refuses, each one listed problem
     check(lambda payload: payload["metadata"].update(g="4"),
           ["cannot rebuild: base must be a square-free integer >= 2, got 4"])
     check(lambda payload: payload["metadata"].update(x=1),
