@@ -51,7 +51,6 @@ from .modarith import (
     reduce_rational,
     residual_index,
 )
-from .qanalogue import IntPoly
 from .qfib import (
     fib,
     fib_mod,
@@ -68,7 +67,6 @@ __all__ = [
     "DeltaEstimate",
     "DomainError",
     "Inapplicable",
-    "IntPoly",
     "InternalInvariantViolation",
     "NotInvertible",
     "OccurrenceReport",

@@ -114,7 +114,12 @@ def _config_defaults(args: argparse.Namespace, config: dict[str, str]) -> dict[s
 
 def _cmd_qfib(args) -> int:
     if args.poly:
-        print(qfib_poly(args.n))
+        # every coefficient of F_n is at least 1 for 1 <= n <= POLY_MAX_N, so each term
+        # is printed with a "+"; F_0 is the empty tuple, printed "0"
+        coeffs = qfib_poly(args.n)
+        monomials = ["", "q", *(f"q^{i}" for i in range(2, len(coeffs)))]
+        print(" + ".join(str(c) if not m else m if c == 1 else f"{c}*{m}"
+                         for c, m in zip(coeffs, monomials)) or "0")
         return EXIT_OK
     if args.q is None or args.p is None:
         print("qfib: need --poly, or both --q and --p", file=sys.stderr)

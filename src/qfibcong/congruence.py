@@ -31,6 +31,7 @@ from .modarith import (
     primes_upto,
     residual_index,
 )
+from .qanalogue import binomial_row
 from .qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
@@ -160,20 +161,14 @@ def qfib_mod_proposition(rd: ResidualData) -> Residue:
 
     Exponents (p - 1 - 2k*ord)/10 are always integral for k in S1 but may
     be negative; they act through alpha**(p-1) = 1, so they are reduced
-    mod p - 1.  A single O(I) sweep maintains C(I, k) mod p through the
-    ratio update, using the linear-time inverse table for 1..I.
+    mod p - 1.  A single O(I) sweep reads the row C(I, k) mod p.
     """
     if not rd.applicable:
         raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
-    p, d, idx = rd.p, rd.ord, rd.index
-    a = rd.alpha_res.value
-    inv = [0, 1] + [0] * max(0, idx - 1)
-    for i in range(2, idx + 1):
-        inv[i] = (p - p // i) * inv[p % i] % p
+    p, d, a = rd.p, rd.ord, rd.alpha_res.value
     k1 = None  # the least index of S1
-    sum1 = sum2 = 0  # C(idx, k) summed over S1 and over S2
-    comb = 1  # C(idx, k) mod p, updated as k advances
-    for k in range(idx + 1):
+    sum1 = sum2 = 0  # C(I, k) summed over S1 and over S2
+    for k, comb in enumerate(binomial_row(rd.index, p)):
         r = (2 * k * d - p) % 5
         if r == 4:
             if k1 is None:
@@ -181,8 +176,6 @@ def qfib_mod_proposition(rd: ResidualData) -> Residue:
             sum1 += comb
         elif r == 3:
             sum2 += comb
-        if k < idx:
-            comb = comb * (idx - k) % p * inv[k + 1] % p
     total = -pow(a, (p - 1) // 2, p) * sum2  # (a/p) by Euler's criterion; p is prime
     if k1 is not None:
         # 5 does not divide ord, so S1 is one residue class mod 5: its
@@ -221,11 +214,19 @@ def _check_request(paths: frozenset[str], p_max: int) -> None:
         raise DomainError(f"the poly route needs p <= {POLY_MAX_N}, got {p_max}")
 
 
+def _poly_route(rd: ResidualData) -> int:
+    """F_p(alpha) mod p by Horner's rule on the exact coefficients of F_p(q)."""
+    acc = 0
+    for c in reversed(qfib_poly(rd.p)):
+        acc = (acc * rd.alpha_res.value + c) % rd.p
+    return acc
+
+
 # Routes that cross-check the recurrence, each mapping residual data to F_p(alpha) mod p.
 _CROSS_CHECKS = {
     "andrews": lambda rd: qfib_mod_andrews(rd.p, rd.alpha_res, rd.ord).value,
     "proposition": lambda rd: qfib_mod_proposition(rd).value,
-    "poly": lambda rd: qfib_poly(rd.p).eval_mod(rd.alpha_res.value, rd.p),
+    "poly": _poly_route,
 }
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
 

@@ -31,6 +31,9 @@ Factorization = list[tuple[int, int]]
 _TRIAL_LIMIT = 1000  # trial division covers all composites below _TRIAL_LIMIT**2
 _RHO_SEED = 0x5EED
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
+# The bound below which is_squarefree factors by Pollard rho, whose time grows as n**(1/4): a product
+# of two primes near 1e9 took at most 0.07 s, one near 1e10 0.27 s (Python 3.11, 2-core Xeon VM).
+_RHO_MAX_N = 10**20
 
 
 @dataclass(frozen=True)
@@ -238,4 +241,24 @@ def moebius(n: int) -> int:
 
 
 def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for _, e in factorize(n))
+    """Whether n has no square factor.  Past the primes below _TRIAL_LIMIT, the rest of n
+    is factored below _RHO_MAX_N; above, a square test or Miller-Rabin must settle it, or
+    DomainError is raised."""
+    if n < 1:
+        return False
+    rest = n
+    for p in _trial_primes():
+        if p * p > rest:
+            return True
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                return False
+    if rest < _RHO_MAX_N:
+        return all(e == 1 for _, e in factorize(rest))
+    if math.isqrt(rest) ** 2 == rest:
+        return False
+    if is_prime(rest):
+        return True
+    raise DomainError(f"cannot tell whether {n} is square-free: its part with no prime factor "
+                      f"below {_TRIAL_LIMIT} is composite and at least {_RHO_MAX_N:.0e}")

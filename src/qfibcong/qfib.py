@@ -8,13 +8,15 @@ the q = 1 specialization recovers.
 
 from __future__ import annotations
 
+from operator import add
+
 import numpy as np
 
 from .errors import DomainError
 from .modarith import Residue
-from .qanalogue import IntPoly, _context
+from .qanalogue import _context, binomial_row
 
-_QFIB_POLYS: list[IntPoly] = [IntPoly.zero(), IntPoly.one()]
+_QFIB_POLYS: list[tuple[int, ...]] = [(), (1,)]
 
 # The largest p with p*(p - 1) <= 2**63 - 1.  A recurrence step computes
 # F1 + PW*F0 with every term below p in int64, so past it the step wraps.
@@ -30,13 +32,15 @@ _LOCKSTEP_MIN_BATCH = 16
 POLY_MAX_N = 300
 
 
-def qfib_poly(n: int) -> IntPoly:
-    """F_n(q) as an exact polynomial: F_{n+2} = F_{n+1} + q**n F_n, F_0 = 0, F_1 = 1."""
+def qfib_poly(n: int) -> tuple[int, ...]:
+    """F_n(q)'s exact coefficients, constant term first: F_{n+2} = F_{n+1} + q**n F_n,
+    F_0 = 0 (the empty tuple), F_1 = 1."""
     if not 0 <= n <= POLY_MAX_N:
         raise DomainError(f"qfib_poly needs 0 <= n <= {POLY_MAX_N}, got {n}")
     while len(_QFIB_POLYS) <= n:
         k = len(_QFIB_POLYS)
-        _QFIB_POLYS.append(_QFIB_POLYS[k - 1] + _QFIB_POLYS[k - 2].shifted(k - 2))
+        f1, f0 = _QFIB_POLYS[k - 1], (0,) * (k - 2) + _QFIB_POLYS[k - 2]
+        _QFIB_POLYS.append(tuple(map(add, f1, f0)) + (f1[len(f0):] or f0[len(f1):]))
     return _QFIB_POLYS[n]
 
 
@@ -96,21 +100,18 @@ def qfib_mod_andrews(n: int, alpha: Residue, d: int) -> Residue:
     with t = p - 1 - 2kd, m = kd exactly when t mod 5 is 0 or 1, and then j = t // 5.
     That is O(I) terms; exponents are reduced mod p - 1 since alpha**(p-1) = 1.
     """
-    p = alpha.modulus
+    p, a = alpha.modulus, alpha.value
     if n != p:
         raise DomainError(f"qfib_mod_andrews needs n = p = {p}, got {n}")
-    ctx = _context(p, alpha.value)
-    if ctx.d != d:
-        raise DomainError(f"d = {d} is not the order of {alpha.value} mod {p}")
-    a = alpha.value
-    idx = (p - 1) // d
+    if _context(p, a) != d:
+        raise DomainError(f"d = {d} is not the order of {a} mod {p}")
     total = 0
-    for k in range(idx + 1):
+    for k, comb in enumerate(binomial_row((p - 1) // d, p)):
         t = p - 1 - 2 * k * d
         if t % 5 > 1:
             continue
         j = t // 5
-        term = pow(a, j * (5 * j + 1) // 2 % (p - 1), p) * ctx.comb_mod(idx, k) % p
+        term = pow(a, j * (5 * j + 1) // 2 % (p - 1), p) * comb % p
         total = (total - term if j % 2 else total + term) % p
     return Residue(total, p)
 

@@ -72,6 +72,17 @@ def qpascal_table(n_max: int, a: int, p: int) -> list[np.ndarray]:
     return rows
 
 
+def poly_add(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Sum of two coefficient tuples, constant term first."""
+    n = max(len(f), len(g))
+    return tuple((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
+
+
+def poly_eval_mod(f: tuple[int, ...], a: int, p: int) -> int:
+    """f(a) mod p as a direct sum of terms."""
+    return sum(c * pow(a, i, p) for i, c in enumerate(f)) % p
+
+
 def qfib_seq_mod(n_max: int, a: int, p: int) -> list[int]:
     """F_0..F_n_max at q = a mod p by the plain recurrence."""
     vals = [0, 1]

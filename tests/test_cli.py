@@ -2,7 +2,7 @@ import csv
 import json
 from fractions import Fraction
 
-from qfibcong import cli, congruence, report
+from qfibcong import cli, congruence, modarith, report
 from qfibcong.cli import main
 from qfibcong.modarith import Residue, lsym5
 from qfibcong.qfib import POLY_MAX_N, RECURRENCE_MAX_P, fib_mod
@@ -24,6 +24,9 @@ def test_qfib_poly(capsys):
     assert code == 0 and out.strip() == "1 + q + q^2 + q^3 + q^4"
     code, out, _ = run(capsys, "qfib", "0", "--poly")
     assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, "qfib", "7", "--poly")
+    assert code == 0 and out.strip() == (
+        "1 + q + q^2 + q^3 + 2*q^4 + 2*q^5 + 2*q^6 + q^7 + q^8 + q^9")
 
 
 def test_qfib_mod(capsys):
@@ -287,6 +290,22 @@ def test_density_command(capsys, tmp_path):
     assert code == 2 and "square-free" in err
 
 
+# The product of the primes 10**30 + 57 and 10**31 + 33: no trial divisor,
+# not a square, not a prime, and too large for Pollard rho to split quickly.
+UNSETTLED_BASE = str((10**30 + 57) * (10**31 + 33))
+
+
+def test_unsettled_base_fails_fast(capsys, monkeypatch):
+    def no_rho(n):
+        raise AssertionError("Pollard rho started on the base")
+
+    monkeypatch.setattr(modarith, "_pollard_rho", no_rho)
+    for argv in (("stats", "--g", UNSETTLED_BASE, "--x", "100"),
+                 ("density", "--g", UNSETTLED_BASE, "--t", "11")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"cannot tell whether {UNSETTLED_BASE} is square-free" in err
+
+
 def test_stats_command(capsys, tmp_path):
     path = tmp_path / "s.json"
     code, out, _ = run(capsys, "stats", "--g", "2", "--x", "20", "--out", str(path))
@@ -540,6 +559,11 @@ def test_check_rebuilds_density_reports(capsys, tmp_path):
     consistent(summary, Fraction(summary["partial_sum"]), Fraction(summary["tail_bound"]) / 2)
     check(payload, ["summary differs from the rebuild in tail_bound, lower_bound"])
 
+    payload = json.loads(body)
+    payload["metadata"]["g"] = UNSETTLED_BASE
+    check(payload, [f"cannot rebuild: cannot tell whether {UNSETTLED_BASE} is square-free: its part "
+                    "with no prime factor below 1000 is composite and at least 1e+20"])
+
 
 def test_check_rebuilds_stats_reports(capsys, tmp_path):
     path = tmp_path / "s2000.json"
@@ -601,6 +625,9 @@ def test_check_rebuilds_stats_reports(capsys, tmp_path):
           ["cannot rebuild: occurrence_histogram needs x >= 2, got 1"])
     check(lambda payload: payload["metadata"].update(witness_cap=-1),
           ["cannot rebuild: occurrence_histogram needs witness_cap >= 0, got -1"])
+    check(lambda payload: payload["metadata"].update(g=UNSETTLED_BASE),
+          [f"cannot rebuild: cannot tell whether {UNSETTLED_BASE} is square-free: its part with "
+           "no prime factor below 1000 is composite and at least 1e+20"])
     # a g past int()'s digit limit, whose message is Python's own
     payload = json.loads(body)
     payload["metadata"]["g"] = "7" * 5000

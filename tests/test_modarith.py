@@ -190,3 +190,16 @@ def test_moebius_and_squarefree():
     for n in range(1, 120):
         total = sum(moebius(d) for d in range(1, n + 1) if n % d == 0)
         assert total == (1 if n == 1 else 0)
+
+
+def test_is_squarefree_settles_or_refuses():
+    for n in range(1, 3000):
+        assert is_squarefree(n) == all(e == 1 for _, e in factorize(n)), n
+    # factored by Pollard rho below 10**20 once the primes below 1000 are stripped
+    assert is_squarefree(1009 * 1013 * 1019) and not is_squarefree(1009**2 * 1013)
+    # past it, settled by a square test or Miller-Rabin alone, or refused
+    p, q = 10**30 + 57, 10**31 + 33  # both prime
+    assert is_squarefree(6 * p) and not is_squarefree(6 * p * p)
+    for n in (p * q, 6 * p * q):
+        with pytest.raises(DomainError):
+            is_squarefree(n)

@@ -4,7 +4,6 @@ import pytest
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, multiplicative_order
-from qfibcong.qanalogue import IntPoly
 from qfibcong.qfib import qfib_mod_andrews
 
 from _oracles import (
@@ -17,20 +16,6 @@ from _oracles import (
     qpascal_row,
     qpascal_table,
 )
-
-
-def poly(*coeffs):
-    return IntPoly(coeffs)
-
-
-def test_intpoly_basics():
-    p = poly(1, 2, 1)
-    assert p.eval_mod(3, 7) == 2
-    assert p + poly(0, -2, -1) == poly(1)
-    assert (p + poly(-1, -2, -1)).is_zero
-    assert p.shifted(2).coeffs == (0, 0, 1, 2, 1)
-    assert str(poly(1, 1, 2)) == "1 + q + 2*q^2"
-    assert str(IntPoly.zero()) == "0"
 
 
 def test_q_integer():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import Residue, lsym5, multiplicative_order
-from qfibcong.qanalogue import IntPoly, QLucasContext, _context
+from qfibcong.qanalogue import _context, binomial_row
 from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
@@ -20,14 +20,23 @@ from qfibcong.qfib import (
     qfib_poly,
 )
 
-from _oracles import andrews_j_range, andrews_sum, fib_seq, g_value, primes_trial, qfib_seq_mod
+from _oracles import (
+    andrews_j_range,
+    andrews_sum,
+    fib_seq,
+    g_value,
+    poly_add,
+    poly_eval_mod,
+    primes_trial,
+    qfib_seq_mod,
+)
 
 
 def test_qfib_poly_small():
-    assert qfib_poly(0).is_zero
-    assert qfib_poly(1) == IntPoly.one()
-    assert qfib_poly(3) == IntPoly((1, 1))
-    assert qfib_poly(5) == IntPoly((1, 1, 1, 1, 1))
+    assert qfib_poly(0) == ()
+    assert qfib_poly(1) == (1,)
+    assert qfib_poly(3) == (1, 1)
+    assert qfib_poly(5) == (1, 1, 1, 1, 1)
     with pytest.raises(DomainError):
         qfib_poly(-1)
     with pytest.raises(DomainError):
@@ -36,11 +45,11 @@ def test_qfib_poly_small():
 
 def test_qfib_poly_recurrence():
     for n in range(121):
-        assert qfib_poly(n + 2) == qfib_poly(n + 1) + qfib_poly(n).shifted(n)
+        assert qfib_poly(n + 2) == poly_add(qfib_poly(n + 1), (0,) * n + qfib_poly(n))
 
 
 def test_qfib_mod_recurrence_examples():
-    assert qfib_poly(7).eval_mod(2, 10**9 + 7) == 1135
+    assert poly_eval_mod(qfib_poly(7), 2, 10**9 + 7) == 1135
     assert qfib_mod_recurrence(7, Residue(2, 7)).value == 1
     assert qfib_mod_recurrence(13, Residue(2, 13)).value == 0
     for p in (7, 13, 101):
@@ -62,7 +71,7 @@ def _order(a, p):
 def test_qfib_mod_andrews_examples():
     for p, a in ((7, 2), (11, 3), (31, 2), (31, 1)):
         d = _order(a, p)
-        assert qfib_mod_andrews(p, Residue(a, p), d).value == qfib_poly(p).eval_mod(a, p)
+        assert qfib_mod_andrews(p, Residue(a, p), d).value == poly_eval_mod(qfib_poly(p), a, p)
     assert qfib_mod_andrews(7, Residue(2, 7), 3).value == 1
     # the route serves n = p only, and only with the true order of alpha
     for n in (0, 1, 6, 8, 14):
@@ -118,24 +127,22 @@ def test_andrews_window_is_wide_enough():
             assert m < 0 or m > n - 1
 
 
-def test_context_tables():
-    ctx = QLucasContext(Residue(2, 7))
-    assert ctx.d == 3
-    for n in range(7):
-        for m in range(-1, n + 2):
-            assert ctx.comb_mod(n, m) == (math.comb(n, m) % 7 if m >= 0 else 0)
-    for n in (7, 10, -1):
-        with pytest.raises(DomainError):
-            ctx.comb_mod(n, 1)
+def test_binomial_row():
+    for p in primes_trial(60):
+        for n in range(p):
+            assert binomial_row(n, p) == [math.comb(n, k) % p for k in range(n + 1)], (n, p)
+        for n in (p, -1):
+            with pytest.raises(DomainError):
+                binomial_row(n, p)
 
 
-def test_context_tables_grow_only_as_far_as_read():
-    # at n = p with a primitive root the route reads C(I, k) with I = 1: 0! and 1!
+def test_andrews_route_at_a_primitive_root():
+    # I = 1: the route reads the row C(1, k) and the cached order alone
     p = 140_009
     a = next(a for a in range(2, p) if multiplicative_order(Residue(a, p)) == p - 1)
     alpha = Residue(a, p)
     assert qfib_mod_andrews(p, alpha, p - 1) == qfib_mod_recurrence(p, alpha)
-    assert len(_context(p, a)._fact) <= 2
+    assert _context(p, a) == p - 1
 
 
 def test_fib_and_fib_mod():
