@@ -40,6 +40,7 @@ def qfib_poly(n: int) -> tuple[int, ...]:
     while len(_QFIB_POLYS) <= n:
         k = len(_QFIB_POLYS)
         f1, f0 = _QFIB_POLYS[k - 1], (0,) * (k - 2) + _QFIB_POLYS[k - 2]
+        # map stops at the shorter tuple; the longer one's tail follows unchanged
         _QFIB_POLYS.append(tuple(map(add, f1, f0)) + (f1[len(f0):] or f0[len(f1):]))
     return _QFIB_POLYS[n]
 
