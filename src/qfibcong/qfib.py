@@ -8,6 +8,7 @@ the q = 1 specialization recovers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import add
 
 import numpy as np
@@ -22,10 +23,16 @@ _QFIB_POLYS: list[tuple[int, ...]] = [(), (1,)]
 # F1 + PW*F0 with every term below p in int64, so past it the step wraps.
 RECURRENCE_MAX_P = 3_037_000_500
 
-# A lockstep step costs 3.3-3.7 us of numpy overhead at batch lengths up to a
-# few dozen, a scalar step 0.2-0.3 us (numpy 2.4, Python 3.11, Xeon VM), so
-# a batch of similar primes pays for the lockstep from about 12-18 primes on.
-_LOCKSTEP_MIN_BATCH = 16
+# The largest p with p*(p - 1) <= 2**32 - 1, by the same step bound: primes up
+# to it run the lockstep in uint32, whose multiply and % cost about half of
+# int64's, and the primes above it in int64.
+_UINT32_MAX_P = 65_536
+
+# A lockstep step costs 2.5-2.9 us of numpy overhead at 16-32 lanes, in uint32
+# and int64 alike, a scalar step 0.14 us (numpy 2.4, Python 3.11, one core of
+# a Xeon VM), so a batch of similar primes pays for the lockstep from about
+# 19 primes on.
+_LOCKSTEP_MIN_BATCH = 20
 
 # The largest n for qfib_poly.  F_n(q) has degree about n**2/4, and the
 # cache of F_0..F_n grows as n**3: n = 300 peaks at 171 MB, n = 600 at 1.2 GB.
@@ -63,23 +70,34 @@ def qfib_mod_recurrence(n: int, alpha: Residue) -> Residue:
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:
     """F_p(alpha_p) mod p for an ascending batch of primes.
 
+    The batch is split once at _UINT32_MAX_P, and each part runs in the
+    narrowest lanes its step values fit: uint32 below the split, int64 above.
+    """
+    if max(primes, default=0) > RECURRENCE_MAX_P:
+        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
+    if any(q < p for p, q in zip(primes, primes[1:])):
+        raise DomainError("the recurrence kernel needs the primes in ascending order")
+    cut = bisect_right(primes, _UINT32_MAX_P)
+    return (_recurrence_lanes(primes[:cut], alpha_values[:cut], np.uint32)
+            + _recurrence_lanes(primes[cut:], alpha_values[cut:], np.int64))
+
+
+def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype) -> list[int]:
+    """F_p(alpha_p) mod p for ascending primes whose step values fit in dtype.
+
     A batch of at least _LOCKSTEP_MIN_BATCH primes runs the recurrence in
     numpy lockstep: the front prime's value is harvested as the step count
     reaches it, and the arrays are then cut down to the primes not yet
     finished, so the work is exactly sum(p - 1).  Shorter batches run the
     scalar recurrence prime by prime.
     """
-    if max(primes, default=0) > RECURRENCE_MAX_P:
-        raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
-    if any(q < p for p, q in zip(primes, primes[1:])):
-        raise DomainError("the recurrence kernel needs the primes in ascending order")
     if len(primes) < _LOCKSTEP_MIN_BATCH:
         return [qfib_mod_recurrence(p, Residue(a, p)).value for p, a in zip(primes, alpha_values)]
-    P = np.array(primes, dtype=np.int64)
-    A = np.array(alpha_values, dtype=np.int64)
-    F0 = np.zeros(len(primes), dtype=np.int64)
-    F1 = np.ones(len(primes), dtype=np.int64)
-    PW = np.ones(len(primes), dtype=np.int64)
+    P = np.array(primes, dtype=dtype)
+    A = np.array(alpha_values, dtype=dtype)
+    F0 = np.zeros(len(primes), dtype=dtype)
+    F1 = np.ones(len(primes), dtype=dtype)
+    PW = np.ones(len(primes), dtype=dtype)
     out = []
     n = 1  # F1 holds F_n
     for p in primes:

@@ -155,6 +155,16 @@ def test_scan_range_worker_counts_agree():
         assert other.skipped == base.skipped
 
 
+def test_scan_range_across_the_uint32_bound():
+    # the recurrence runs uint32 lanes up to 65,536 and int64 lanes above it
+    paths = frozenset({"proposition"})
+    base = scan_range(Fraction(2), 65_000, 66_100, paths=paths)
+    ps = [r.p for r in base.records]
+    assert ps[0] < 65_536 < ps[-1]
+    assert base.all_match and all(r.paths_agree for r in base.records)
+    assert scan_range(Fraction(2), 65_000, 66_100, paths=paths, workers=2).records == base.records
+
+
 def test_scan_range_domain():
     with pytest.raises(DomainError):
         scan_range(Fraction(2), 2, 10)

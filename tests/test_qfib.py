@@ -12,6 +12,7 @@ from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
     _LOCKSTEP_MIN_BATCH,
+    _UINT32_MAX_P,
     fib,
     fib_mod,
     qfib_mod_andrews,
@@ -239,3 +240,27 @@ def test_recurrence_kernel_on_both_sides_of_the_lockstep_threshold():
         assert qfib_mod_recurrence_many(ps, avals) == expected, ps
     with pytest.raises(DomainError):
         qfib_mod_recurrence_many(odd[:m][::-1], [2] * m)
+
+
+def test_uint32_lanes_hold_every_step_below_their_bound():
+    p = _UINT32_MAX_P
+    assert p * (p - 1) <= 2**32 - 1 < (p + 1) * p
+    for q, fits in ((p, True), (p + 1, False)):
+        t = np.array([q - 1], dtype=np.uint32)
+        assert (int((t + t * t)[0]) == q * (q - 1)) is fits
+
+
+def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
+    odd = [n for n in range(65_001, 66_200, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    below = [p for p in odd if p <= _UINT32_MAX_P]
+    above = [p for p in odd if p > _UINT32_MAX_P]
+    assert above[0] == 65_537
+    rng = random.Random(15)
+    # alpha = p - 1 makes PW*A = (p - 1)**2, which wraps in uint32 at p = 65,537
+    alphas = {p: p - 1 if p == 65_537 or rng.random() < 0.5 else rng.randrange(2, p - 1) for p in odd}
+    expected = {p: qfib_mod_recurrence(p, Residue(a, p)).value for p, a in alphas.items()}
+    m = _LOCKSTEP_MIN_BATCH
+    for lo in (m - 1, m, m + 1):
+        for hi in (m - 1, m, m + 1):
+            ps = below[-lo:] + above[:hi]
+            assert qfib_mod_recurrence_many(ps, [alphas[p] for p in ps]) == [expected[p] for p in ps], (lo, hi)
