@@ -82,7 +82,7 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
             + _recurrence_lanes(primes[cut:], alpha_values[cut:], np.int64))
 
 
-def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype) -> list[int]:
+def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -> list[int]:
     """F_p(alpha_p) mod p for ascending primes whose step values fit in dtype.
 
     A batch of at least _LOCKSTEP_MIN_BATCH primes runs the recurrence in
