@@ -174,6 +174,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if args.empirical_x is not None:  # refused before the series, not after it
+        density.require_x_bound(args.empirical_x, "v_count")
     est = density.delta_truncated(args.g, args.a, args.d, args.t, args.trunc)
     print(f"delta(g = {est.g}, a = {est.a}, d = {est.d}, t = {est.t}) truncated at N = {est.truncation}")
     print(f"partial sum = {est.partial_sum} ~ {float(est.partial_sum):.6g}")

@@ -13,22 +13,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .congruence import WINDOW_BLOCK, multiplicative_orders, residues
 from .errors import DomainError, InternalInvariantViolation
-from .modarith import (
-    euler_phi,
-    is_squarefree,
-    kronecker,
-    moebius,
-    multiplicative_order,
-    primes_upto,
-    reduce_rational,
-    residual_index,
-)
+from .modarith import euler_phi, is_squarefree, kronecker, moebius, primes_upto
+from .qfib import RECURRENCE_MAX_P
 
 
 def _require_base(g: int) -> None:
     if g < 2 or not is_squarefree(g):
         raise DomainError(f"base must be a square-free integer >= 2, got {g}")
+
+
+def require_x_bound(x: int, caller: str) -> None:
+    """Refuse a window past RECURRENCE_MAX_P, beyond which the int64 order kernel would wrap."""
+    if x > RECURRENCE_MAX_P:
+        raise DomainError(f"{caller} needs x <= {RECURRENCE_MAX_P}, got {x}")
 
 
 def epsilon_g(g: int, s: int) -> int:
@@ -184,19 +185,21 @@ class VCount:
 
 
 def v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
-    """Sieve the arithmetic progression, then filter on the residual index."""
+    """Sieve, keep the primes of the arithmetic progression, then filter them on the
+    residual index, block by block."""
     _require_base(g)
     if x < 2:
         raise DomainError(f"v_count needs x >= 2, got {x}")
+    require_x_bound(x, "v_count")
     if t < 1 or d < 1:
         raise DomainError(f"need t, d >= 1, got t={t}, d={d}")
     modulus = d * t
     target = (1 + t * a) % modulus
+    progression = [p for p in primes_upto(x) if p % modulus == target]
     hits: list[int] = []
-    for p in primes_upto(x):
-        if p % modulus != target or g % p == 0:
-            continue
-        ord_ = multiplicative_order(reduce_rational(Fraction(g), p))
-        if residual_index(p, ord_) == t:
-            hits.append(p)
+    for start in range(0, len(progression), WINDOW_BLOCK):
+        p = np.array(progression[start:start + WINDOW_BLOCK], dtype=np.int64)
+        res = residues(g, p)
+        p, res = p[res != 0], res[res != 0]
+        hits += p[(p - 1) // multiplicative_orders(res, p) == t].tolist()
     return VCount(g, a, d, t, x, len(hits), tuple(hits))

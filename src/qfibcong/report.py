@@ -19,12 +19,13 @@ from typing import Any
 from .congruence import (
     CongruenceRecord,
     ScanReport,
+    applicable_data,
     build_records,
     make_record,
     run_chunks,
     scan_request,
 )
-from .density import delta_truncated, v_count
+from .density import delta_truncated, require_x_bound, v_count
 from .errors import DomainError
 from .stats import occurrence_histogram
 
@@ -230,7 +231,7 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
     # a string longer than str(p) is no residue, and could pass int()'s digit limit
     lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("lhs", "").isdecimal()
            and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
-    parts, skipped = run_chunks(_rebuild_records, alpha, p_min, p_max, 1, lhs, paths)
+    parts, skipped = run_chunks(_rebuild_records, alpha, p_min, p_max, 1, alpha, lhs, paths)
     rebuilt = scan_report_dict(ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),
                                           [r for part in parts for r in part], skipped))
     return (_compare(payload, rebuilt, "records", "p", "an applicable prime of the window")
@@ -238,10 +239,13 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
                for i, r in enumerate(records) if r.get("paths_agree") is not True])
 
 
-def _rebuild_records(rds, lhs: dict[int, int], paths: frozenset[str]) -> list[CongruenceRecord]:
-    """A chunk's records, with the recurrence's lhs for the primes that lhs lacks."""
-    rds = list(rds)
-    computed = iter(build_records([rd for rd in rds if rd.p not in lhs], paths))
+def _rebuild_records(rows, alpha: Fraction, lhs: dict[int, int],
+                     paths: frozenset[str]) -> list[CongruenceRecord]:
+    """A chunk's records, with the recurrence's lhs for the primes that lhs lacks;
+    the recurrence does not run when no prime lacks one."""
+    rds = applicable_data(alpha, rows)
+    missing = [rd for rd in rds if rd.p not in lhs]
+    computed = iter(build_records(missing, paths) if missing else ())
     return [make_record(rd, lhs[rd.p], paths) if rd.p in lhs else next(computed) for rd in rds]
 
 
@@ -299,6 +303,8 @@ def _check_density(payload: dict[str, Any]) -> list[str]:
     if problems:
         return problems
     try:  # int() refuses a g past its digit limit, as the CLI's --g does
+        if "empirical" in payload:  # refused before the series, as the CLI refuses it
+            require_x_bound(empirical.get("x", 0), "v_count")
         est = delta_truncated(int(meta.get("g", "0")),
                               *(meta.get(k, 0) for k in ("a", "d", "t", "truncation")))
         vc = (v_count(est.g, est.a, est.d, est.t, empirical.get("x", 0))

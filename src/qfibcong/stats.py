@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import predicted_index, qfib_mod_proposition, run_chunks
+from .congruence import proposition_value, run_chunks
 # Unused here; perfbench/tests/test_perfbench.py checks this binding is congruence's.
 from .congruence import residual_data  # noqa: F401
-from .density import _require_base
+from .density import _require_base, require_x_bound
 from .errors import DomainError, TheoremViolation
 from .qfib import fib, fib_mod
 
@@ -45,17 +45,16 @@ class OccurrenceReport:
     by_value_counts: dict[str, int]
 
 
-def _histogram_chunk(rds, cap) -> tuple[dict[int, int], dict[int, list[int]]]:
+def _histogram_chunk(rows, alpha, cap) -> tuple[dict[int, int], dict[int, list[int]]]:
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
-    for rd in rds:
-        p = rd.p
-        n_star = predicted_index(rd)
-        lhs = qfib_mod_proposition(rd)
-        if lhs.value != fib_mod(n_star, p).value:
+    sums: dict = {}  # the S-set sums by key, for this chunk only
+    for p, a, d, index, lsym in rows:
+        n_star = index + lsym
+        lhs, rhs = proposition_value(p, a, d, index, sums), fib_mod(n_star, p).value
+        if lhs != rhs:
             raise TheoremViolation(
-                f"congruence failed at p={p}, alpha={rd.alpha}: "
-                f"F_p = {lhs.value} but F_{n_star} = {fib_mod(n_star, p).value} mod p"
+                f"congruence failed at p={p}, alpha={alpha}: F_p = {lhs} but F_{n_star} = {rhs} mod p"
             )
         counts[n_star] = counts.get(n_star, 0) + 1
         bucket = witnesses.setdefault(n_star, [])
@@ -79,9 +78,11 @@ def occurrence_histogram(
     _require_base(g)
     if x < 2:
         raise DomainError(f"occurrence_histogram needs x >= 2, got {x}")
+    require_x_bound(x, "occurrence_histogram")
     if witness_cap < 0:
         raise DomainError(f"occurrence_histogram needs witness_cap >= 0, got {witness_cap}")
-    parts, skipped = run_chunks(_histogram_chunk, Fraction(g), 3, x, workers, witness_cap)
+    alpha = Fraction(g)
+    parts, skipped = run_chunks(_histogram_chunk, alpha, 3, x, workers, alpha, witness_cap)
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
     for c, w in parts:

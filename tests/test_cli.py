@@ -2,7 +2,7 @@ import csv
 import json
 from fractions import Fraction
 
-from qfibcong import cli, congruence, modarith, report
+from qfibcong import cli, congruence, density, modarith, qanalogue, report, stats
 from qfibcong.cli import main
 from qfibcong.modarith import Residue, lsym5
 from qfibcong.qfib import POLY_MAX_N, RECURRENCE_MAX_P, fib_mod
@@ -105,6 +105,55 @@ def test_scan_refuses_bad_input_before_any_work(capsys, monkeypatch):
     # an alpha whose numerator str() cannot print, as scan would after the whole window
     code, out, err = run(capsys, "scan", "--alpha", "1e5000", "--pmax", "200")
     assert code == 2 and out == "" and "digit limit" in err
+
+
+def test_windows_past_the_order_kernel_bound_are_refused_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the input checks")
+
+    monkeypatch.setattr(stats, "run_chunks", no_work)
+    monkeypatch.setattr(density, "delta_truncated", no_work)
+    monkeypatch.setattr(density, "primes_upto", no_work)
+    x = str(RECURRENCE_MAX_P + 1)
+    for argv, caller in ((("stats", "--g", "2", "--x", x), "occurrence_histogram"),
+                         (("density", "--g", "2", "--t", "11", "--empirical-x", x), "v_count")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and f"{caller} needs x <= 3037000500, got {x}" in err
+
+
+def test_window_paths_find_no_order_one_prime_at_a_time(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("an order was found one prime at a time")
+
+    for module, name in ((modarith, "factorize"), (modarith, "multiplicative_order"),
+                         (congruence, "multiplicative_order"),
+                         (qanalogue, "multiplicative_order")):
+        monkeypatch.setattr(module, name, refuse)
+    scan, hist = tmp_path / "scan.json", tmp_path / "stats.json"
+    assert run(capsys, "scan", "--alpha", "3/2", "--pmax", "3000", "--out", str(scan))[0] == 0
+    assert run(capsys, "stats", "--g", "6", "--x", "5000", "--out", str(hist))[0] == 0
+    assert check_report(str(scan)) == [] and check_report(str(hist)) == []
+    assert density.v_count(2, 1, 5, 11, 20000).count > 0
+
+
+def test_checking_a_complete_scan_report_runs_no_recurrence(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "scan.json"
+    assert run(capsys, "scan", "--alpha", "3/2", "--pmax", "3000", "--out", str(path))[0] == 0
+    batches = []
+    real = congruence.qfib_mod_recurrence_many
+
+    def counted(primes, alpha_values):
+        batches.append(len(primes))
+        return real(primes, alpha_values)
+
+    monkeypatch.setattr(congruence, "qfib_mod_recurrence_many", counted)
+    assert check_report(str(path)) == [] and batches == []
+    payload = json.loads(path.read_text())
+    deleted = payload["records"].pop(4)
+    path.write_text(json.dumps(payload))
+    assert f"no record for p={deleted['p']}, an applicable prime of the window" in check_report(
+        str(path))
+    assert batches == [1]
 
 
 def test_worker_counts_below_one_are_refused(capsys):
@@ -528,7 +577,7 @@ def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
     check(payload, ["cannot rebuild: alpha's numerator or denominator is past int()'s digit limit"])
 
 
-def test_check_rebuilds_density_reports(capsys, tmp_path):
+def test_check_rebuilds_density_reports(capsys, monkeypatch, tmp_path):
     path = tmp_path / "d.json"
     run(capsys, "density", "--g", "2", "--t", "11", "--trunc", "200", "--out", str(path))
     body = path.read_text()
@@ -563,6 +612,16 @@ def test_check_rebuilds_density_reports(capsys, tmp_path):
     payload["metadata"]["g"] = UNSETTLED_BASE
     check(payload, [f"cannot rebuild: cannot tell whether {UNSETTLED_BASE} is square-free: its part "
                     "with no prime factor below 1000 is composite and at least 1e+20"])
+
+    # a count past the order kernel's bound is refused before the series is summed
+    def no_series(*args):
+        raise AssertionError("the series was summed before the input checks")
+
+    monkeypatch.setattr(report, "delta_truncated", no_series)
+    payload = json.loads(body)
+    payload["empirical"] = {"x": RECURRENCE_MAX_P + 1, "count": 0, "witnesses": []}
+    check(payload, [f"cannot rebuild: v_count needs x <= {RECURRENCE_MAX_P}, "
+                    f"got {RECURRENCE_MAX_P + 1}"])
 
 
 def test_check_rebuilds_stats_reports(capsys, tmp_path):
@@ -623,6 +682,9 @@ def test_check_rebuilds_stats_reports(capsys, tmp_path):
           ["cannot rebuild: base must be a square-free integer >= 2, got 4"])
     check(lambda payload: payload["metadata"].update(x=1),
           ["cannot rebuild: occurrence_histogram needs x >= 2, got 1"])
+    check(lambda payload: payload["metadata"].update(x=RECURRENCE_MAX_P + 1),
+          [f"cannot rebuild: occurrence_histogram needs x <= {RECURRENCE_MAX_P}, "
+           f"got {RECURRENCE_MAX_P + 1}"])
     check(lambda payload: payload["metadata"].update(witness_cap=-1),
           ["cannot rebuild: occurrence_histogram needs witness_cap >= 0, got -1"])
     check(lambda payload: payload["metadata"].update(g=UNSETTLED_BASE),

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qfibcong import congruence
 from qfibcong.congruence import (
@@ -17,7 +17,8 @@ from qfibcong.congruence import (
     verify_theorem,
 )
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue, reduce_rational
+from qfibcong.modarith import Residue, is_prime, multiplicative_order, primes_upto, reduce_rational
+from qfibcong.qanalogue import binomial_row
 from qfibcong.qfib import RECURRENCE_MAX_P, fib_mod, qfib_mod_recurrence
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
@@ -62,6 +63,96 @@ def test_trusted_residual_data_matches_public():
                 assert rd.alpha_res == reduce_rational(alpha, p)
             reasons.add(rd.reason)
     assert reasons == set(Reason)
+
+
+def _window_oracle(alpha, primes):
+    """residual_window's result, prime by prime through _residual_data."""
+    rows, skipped = [], {r.value: 0 for r in congruence.SKIP_REASONS}
+    for p in primes:
+        rd = congruence._residual_data(alpha, p)
+        if rd.applicable:
+            rows.append((p, rd.alpha_res.value, rd.ord, rd.index, rd.lsym_ord))
+        else:
+            skipped[rd.reason.value] += 1
+    return rows, skipped
+
+
+def _window(alpha, primes):
+    columns, skipped = congruence.residual_window(alpha, primes)
+    return list(zip(*(column.tolist() for column in columns))), skipped
+
+
+_BIG = 2**63
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.sampled_from((3, 10**6 - 2000, 10**9)), offset=st.integers(0, 2000),
+       width=st.integers(1, 2500),
+       num=st.one_of(st.integers(-50, 50), st.integers(-2 * _BIG, 2 * _BIG),
+                     st.integers(_BIG, 4 * _BIG)),
+       den=st.one_of(st.integers(1, 50), st.integers(1, 2 * _BIG), st.integers(_BIG, 4 * _BIG)),
+       skip=st.sampled_from(("none", "num", "den", "minus1")), pick=st.integers(0, 10**6))
+@example(start=3, offset=0, width=200, num=2, den=1, skip="none", pick=0)
+@example(start=10**9, offset=0, width=800, num=-7, den=_BIG + 1, skip="minus1", pick=3)
+def test_residual_window_matches_residual_data(start, offset, width, num, den, skip, pick):
+    """The window function against the per-prime path, near 2, 1e6 and 1e9; p - 1 there
+    has q**e with e >= 2 and a prime cofactor above sqrt(p_max) for many p."""
+    primes = list(primes_upto(start + offset + width, start + offset))
+    assume(primes and num != 0)
+    q = primes[pick % len(primes)]  # a prime of the window for alpha to hit
+    alpha = Fraction(num, den)
+    if skip == "num":
+        alpha *= q
+    elif skip == "den":
+        alpha /= q
+    elif skip == "minus1":
+        alpha = 1 + q * alpha
+    assume(alpha not in (0, 1))
+    assert _window(alpha, primes) == _window_oracle(alpha, primes)
+
+
+def test_residual_window_hits_each_reason_and_each_order_step():
+    # 65,537 = 2**16 + 1, where 3 has order 2**16: the order keeps q = 2 sixteen
+    # times.  1,000,000,007 = 2 * 500,000,003 + 1 with 500,000,003 prime, far above
+    # sqrt(p_max): 2 and 3 have order 500,000,003 there, the cofactor alone.
+    for alpha, primes in ((Fraction(3), [65_537]), (Fraction(2), [10**9 + 7]),
+                          (Fraction(3), [10**9 + 7, 10**9 + 403])):
+        rows, _ = _window(alpha, primes)
+        assert rows == _window_oracle(alpha, primes)[0] and len(rows) == len(primes)
+    assert _window(Fraction(3), [65_537])[0][0][2] == 2**16
+    assert [row[2] for row in _window(Fraction(2), [10**9 + 7])[0]] == [500_000_003]
+    # each skip reason over [3, 50]: 7, 11 and 13 divide 77/13, and 3 divides 25/13 - 1
+    primes = list(primes_upto(50, 3))
+    for alpha in (Fraction(77, 13), Fraction(25, 13), Fraction(-3, 2**70)):
+        got = _window(alpha, primes)
+        assert got == _window_oracle(alpha, primes)
+    assert _window(Fraction(77, 13), primes)[1]["BadValuationAlpha"] == 3
+    assert _window(Fraction(25, 13), primes)[1]["BadValuationAlphaMinus1"] == 1
+    assert _window(Fraction(2), primes)[1]["OrdDivisibleBy5"] == 3  # p = 11, 31, 41
+    assert _window(Fraction(2), []) == ([], {r.value: 0 for r in congruence.SKIP_REASONS})
+    with pytest.raises(DomainError):  # int64 lanes would wrap past the bound
+        congruence.residual_window(Fraction(2), [RECURRENCE_MAX_P + 12])
+
+
+def test_grouped_s_set_sums_match_the_binomial_row_route_at_the_cutoff():
+    cutoff = congruence._EXACT_SUMS_MAX_I
+    for index in (cutoff, cutoff + 1):
+        # p = index * d + 1, and alpha = g**index for a primitive root g has order d
+        d = next(d for d in range(2, 10**4) if d % 5 and is_prime(index * d + 1))
+        p = index * d + 1
+        g = next(g for g in range(2, p) if multiplicative_order(Residue(g, p)) == p - 1)
+        a = pow(g, index, p)
+        rd = residual_data(Fraction(a), p)
+        assert (rd.ord, rd.index) == (d, index) and rd.applicable
+        sums = {}
+        value = congruence.proposition_value(p, a, d, index, sums)
+        assert value == qfib_mod_recurrence(p, Residue(a, p)).value
+        k1, sum1, sum2 = congruence._s_set_sums(binomial_row(index, p), d, p)
+        if index == cutoff:  # the grouped exact sums, reduced mod p
+            assert [(k, s1 % p, s2 % p) for k, s1, s2 in sums.values()] == [
+                (k1, sum1 % p, sum2 % p)]
+        else:
+            assert sums == {}
 
 
 def test_predicted_index_examples():
@@ -199,7 +290,7 @@ def test_chunk_runner_sieves_only_the_window(monkeypatch):
     lo, hi = 10**6 - 300, 10**6
     parts, skipped = congruence.run_chunks(list, Fraction(2), lo, hi, 1)
     assert calls == [(hi, lo)]
-    ps = [rd.p for rd in parts[0]]
+    ps = [p for p, *_ in parts[0]]
     assert len(ps) + sum(skipped.values()) == len(real(hi, lo)) > 0
     assert min(ps) >= lo
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from qfibcong.congruence import predicted_index, residual_data
-from qfibcong.errors import DomainError
+from qfibcong import stats
+from qfibcong.errors import DomainError, TheoremViolation
 from qfibcong.modarith import primes_upto
 from qfibcong.stats import occurrence_histogram, value_key
 
@@ -78,3 +79,10 @@ def test_histogram_domain():
         occurrence_histogram(2, 1)
     with pytest.raises(DomainError):  # would silently empty every witness list
         occurrence_histogram(2, 200, witness_cap=-1)
+
+
+def test_histogram_aborts_on_a_failed_congruence(monkeypatch):
+    real = stats.proposition_value
+    monkeypatch.setattr(stats, "proposition_value", lambda p, *args: (real(p, *args) + 1) % p)
+    with pytest.raises(TheoremViolation, match="congruence failed at p=3, alpha=2: F_p = 1 but F_0 = 0"):
+        occurrence_histogram(2, 100)
