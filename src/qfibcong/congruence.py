@@ -37,7 +37,6 @@ from .modarith import (
     primes_upto,
     residual_index,
 )
-from .qanalogue import binomial_row
 from .qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
@@ -260,7 +259,7 @@ def residual_window(alpha: Fraction,
     bad = (num == 0) | (den == 0)
     unit = ~bad & (num != den)  # alpha - 1 = (num - den)/den in lowest terms
     p, num, den = p[unit], num[unit], den[unit]
-    a = num * _powmod(den, p - 2, p) % p
+    a = num if alpha.denominator == 1 else num * _powmod(den, p - 2, p) % p
     d = multiplicative_orders(a, p)
     ok = d % 5 != 0
     skipped = {Reason.BAD_VALUATION_ALPHA.value: int(bad.sum()),
@@ -270,72 +269,102 @@ def residual_window(alpha: Fraction,
     return (p, a, d, (p - 1) // d, _LSYM5[d % 5]), skipped
 
 
-def applicable_data(alpha: Fraction, rows: Iterable[tuple[int, ...]]) -> list[ResidualData]:
-    """The residual data of applicable primes given as rows (p, alpha mod p, ord, index, lsym)."""
+def applicable_data(alpha: Fraction,
+                    blocks: Iterable[tuple[np.ndarray, ...]]) -> list[ResidualData]:
+    """The residual data of applicable primes given as blocks of columns
+    (p, alpha mod p, ord, index, lsym), as residual_window returns them."""
     return [ResidualData(alpha, p, Residue(a, p), d, index, lsym, Reason.OK)
-            for p, a, d, index, lsym in rows]
+            for columns in blocks
+            for p, a, d, index, lsym in zip(*(column.tolist() for column in columns))]
 
 
-# S1, S2 and S1's least index depend only on (I, ord mod 5, p mod 5), so the exact sums
-# of C(I, k) over them serve every prime with the same key.  Past this I a key is seldom
-# met twice, and a new key's exact row costs more than the row mod p: 108, 269 and
-# 670 us at I = 256, 512 and 1,024, against 158, 321 and 652 us for binomial_row
-# near p = 3e5 (Python 3.11, 2-core Xeon VM).  stats --x 300000 took the same time
-# with a cutoff of 256, 512 or 1,024.
-_EXACT_SUMS_MAX_I = 512
+_INV_2D = np.array([0] + [pow(2 * r, -1, 5) for r in range(1, 5)])  # (2d)**-1 mod 5, by d mod 5
 
 
-def _s_set_sums(row: list[int], d: int, p: int) -> tuple[int | None, int, int]:
-    """S1's least index (None if S1 is empty), and row[k] summed over S1 and over S2:
-    k is in S1 when 2*k*d - p = 4 mod 5, and in S2 when it is 3 mod 5."""
-    k1 = None
-    sum1 = sum2 = 0
-    for k, comb in enumerate(row):
-        r = (2 * k * d - p) % 5
-        if r == 4:
-            if k1 is None:
-                k1 = k
-            sum1 += comb
-        elif r == 3:
-            sum2 += comb
-    return k1, sum1, sum2
+# _GATHER[i, k] is the j with (i + j) % 5 == k: the product of the coefficients of x**i
+# and x**j lands on x**k in Z_p[x]/(x**5 - 1).
+_GATHER = np.argsort([[(i + j) % 5 for j in range(5)] for i in range(5)], axis=1)
 
 
-def proposition_value(p: int, a: int, d: int, index: int, sums: dict) -> int:
-    """F_p(alpha) mod p from the two S-set binomial sums, for an applicable prime p,
-    alpha = a mod p of order d and index I = (p - 1)/d.
+def _square_mod(f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """f**2 in Z_p[x]/(x**5 - 1) lane by lane, for coefficient arrays of shape (5, lanes)
+    below p.  Each product is reduced before the five that share a coefficient are added,
+    so nothing passes 5p."""
+    prod = f[:, None] * f[None] % p
+    return prod[np.arange(5)[:, None], _GATHER].sum(axis=0) % p
+
+
+def five_section(index: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The coefficients of (1 + x)**I in Z_p[x]/(x**5 - 1), shape (5, lanes): row r of lane
+    (I, p) is the sum of C(I, k) mod p over k = r mod 5.
+
+    By square and multiply from the top bit, O(log I) per lane; multiplying by 1 + x is
+    a shift and an add.  The lanes are sorted by falling I, so those with a bit at or above
+    a step's shift form a prefix.  A lane joins at its own top bit, so no lane squares
+    the constant 1.
+    """
+    order = np.argsort(-index, kind="stable")
+    exp, mod = index[order], p[order]
+    acc = np.zeros((5, p.size), dtype=np.int64)
+    acc[0] = 1
+    for shift in range(int(exp.max(initial=0)).bit_length() - 1, -1, -1):
+        above = np.count_nonzero(exp >> (shift + 1))
+        acc[:, :above] = _square_mod(acc[:, :above], mod[:above])
+        reached = np.count_nonzero(exp >> shift)
+        head = acc[:, :reached]
+        acc[:, :reached] = np.where((exp[:reached] >> shift) & 1 == 1,
+                                    (head + np.roll(head, 1, axis=0)) % mod[:reached], head)
+    out = np.empty_like(acc)
+    out[:, order] = acc
+    return out
+
+
+def s_set_sums(p: np.ndarray, d: np.ndarray,
+               index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S1's least index (-1 where S1 is empty), and C(I, k) mod p summed over S1 and over
+    S2, lane by lane: k <= I is in S1 when 2*k*d - p = 4 mod 5, and in S2 when it is 3 mod 5.
+
+    For 5 not dividing d, each set is one class k = r mod 5, with r = (4 + p)/(2d) for S1
+    and (3 + p)/(2d) for S2, mod 5, so its sum is row r of the five-section; S1 is empty
+    exactly when r > I.
+    """
+    inv = _INV_2D[d % 5]
+    r1, r2 = (4 + p) * inv % 5, (3 + p) * inv % 5
+    coeffs, lanes = five_section(index, p), np.arange(p.size)
+    return np.where(r1 <= index, r1, -1), coeffs[r1, lanes], coeffs[r2, lanes]
+
+
+def proposition_values(p: np.ndarray, a: np.ndarray, d: np.ndarray,
+                       index: np.ndarray) -> np.ndarray:
+    """F_p(alpha) mod p from the two S-set binomial sums, lane by lane, for applicable
+    primes p up to RECURRENCE_MAX_P, alpha = a mod p of order d and index I = (p - 1)/d,
+    as int64 columns.
 
     Exponents (p - 1 - 2k*ord)/10 are always integral for k in S1 but may
     be negative; they act through alpha**(p-1) = 1, so they are reduced
-    mod p - 1.  Up to _EXACT_SUMS_MAX_I, the exact sums are kept in sums,
-    a dict the caller owns, per (I, ord mod 5, p mod 5); above it the row
-    C(I, k) mod p is read in one O(I) sweep.
+    mod p - 1.
     """
-    if index > _EXACT_SUMS_MAX_I:
-        k1, sum1, sum2 = _s_set_sums(binomial_row(index, p), d, p)
-    else:
-        key = (index, d % 5, p % 5)
-        if key not in sums:
-            row = [comb := 1] + [comb := comb * (index - k) // (k + 1) for k in range(index)]
-            sums[key] = _s_set_sums(row, *key[1:])
-        k1, sum1, sum2 = sums[key]
-    total = -pow(a, (p - 1) // 2, p) * (sum2 % p)  # (a/p) by Euler's criterion; p is prime
-    if k1 is not None:
-        # 5 does not divide ord, so S1 is one residue class mod 5: its
-        # exponents step down by 2*5*ord/10 = ord, and alpha**ord = 1
-        # gives every S1 term the power of the first.
-        e = p - 1 - 2 * k1 * d
-        if e % 10 != 0:
-            raise InternalInvariantViolation("S1 exponent must be divisible by 10")
-        total += pow(a, (e // 10) % (p - 1), p) * (sum1 % p)
-    return total % p
+    euler = _powmod(a, (p - 1) // 2, p)  # (a/p) by Euler's criterion; p is prime
+    k1, sum1, sum2 = s_set_sums(p, d, index)
+    # 5 does not divide ord, so S1 is one residue class mod 5: its
+    # exponents step down by 2*5*ord/10 = ord, and alpha**ord = 1
+    # gives every S1 term the power of the first.
+    has1 = k1 >= 0
+    e = p - 1 - 2 * k1 * d
+    if (e[has1] % 10 != 0).any():
+        raise InternalInvariantViolation("S1 exponent must be divisible by 10")
+    s1 = np.where(has1, _powmod(a, (e // 10) % (p - 1), p) * sum1 % p, 0)
+    return ((p - euler) * sum2 % p + s1) % p  # S2's term is -(a/p) * sum2
 
 
 def qfib_mod_proposition(rd: ResidualData) -> Residue:
-    """F_p(alpha) mod p from the two S-set binomial sums (see proposition_value)."""
+    """F_p(alpha) mod p from the two S-set binomial sums (see proposition_values)."""
     if not rd.applicable:
         raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
-    return Residue(proposition_value(rd.p, rd.alpha_res.value, rd.ord, rd.index, {}), rd.p)
+    if rd.p > RECURRENCE_MAX_P:
+        raise DomainError(f"int64 lanes need p <= {RECURRENCE_MAX_P}, got {rd.p}")
+    lane = [np.array([v], dtype=np.int64) for v in (rd.p, rd.alpha_res.value, rd.ord, rd.index)]
+    return Residue(int(proposition_values(*lane)[0]), rd.p)
 
 
 def verify_theorem(
@@ -402,14 +431,15 @@ def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[Co
     return [make_record(rd, lhs, paths) for rd, lhs in zip(rds, lhs_values)]
 
 
-def _scan_chunk(rows, alpha: Fraction, paths: frozenset[str]) -> list[CongruenceRecord]:
-    return build_records(applicable_data(alpha, rows), paths)
+def _scan_chunk(blocks, alpha: Fraction, paths: frozenset[str]) -> list[CongruenceRecord]:
+    return build_records(applicable_data(alpha, blocks), paths)
 
 
-def _window_rows(alpha: Fraction, primes: Sequence[int],
-                 skipped: dict[str, int]) -> Iterator[tuple[int, ...]]:
-    """Yield each applicable prime's row (p, alpha mod p, ord, index, lsym) of plain ints in
-    turn, classifying the primes block by block; count the others in skipped by reason.
+def _window_blocks(alpha: Fraction, primes: Sequence[int],
+                   skipped: dict[str, int]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield the columns (p, alpha mod p, ord, index, lsym) of each block's applicable
+    primes in turn, classifying the primes block by block; count the others in skipped
+    by reason.
 
     The primes come from the sieve, so they are not tested again.
     """
@@ -417,13 +447,13 @@ def _window_rows(alpha: Fraction, primes: Sequence[int],
         columns, skips = residual_window(alpha, primes[start:start + WINDOW_BLOCK])
         for reason, k in skips.items():
             skipped[reason] += k
-        yield from zip(*(column.tolist() for column in columns))
+        yield columns
 
 
 def _run_chunk(job) -> tuple[object, dict[str, int]]:
     chunk_fn, alpha, primes, extra = job
     skipped = {r.value: 0 for r in SKIP_REASONS}
-    return chunk_fn(_window_rows(alpha, primes, skipped), *extra), skipped
+    return chunk_fn(_window_blocks(alpha, primes, skipped), *extra), skipped
 
 
 def split_chunks(items: list, n: int) -> list[list]:
@@ -446,8 +476,9 @@ def run_chunks(
     outside {0, 1}.  The primes are dealt into one chunk per worker by
     split_chunks.  The non-empty chunks run in one process pool of at most
     one process per chunk and per CPU, or inline when that is one.  Each
-    call gets an iterator over its chunk's applicable rows of plain ints
-    (p, alpha mod p, ord, index, lsym), in ascending p, followed by extra;
+    call gets an iterator over its chunk's applicable primes as blocks of int64
+    columns (p, alpha mod p, ord, index, lsym), as residual_window returns them,
+    in ascending p, followed by extra;
     it must exhaust the iterator, which counts the other primes by reason
     as it goes.  Returns the chunk results in chunk order and the skip
     counts summed over chunks.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .congruence import WINDOW_BLOCK, multiplicative_orders, residues
 from .errors import DomainError, InternalInvariantViolation
-from .modarith import euler_phi, is_squarefree, kronecker, moebius, primes_upto
+from .modarith import euler_phi, is_squarefree, kronecker, prime_sieve, primes_upto
 from .qfib import RECURRENCE_MAX_P
 
 
@@ -114,8 +114,22 @@ class DeltaEstimate:
         return self.lower_bound > 0
 
 
-def _tail_bound(t: int, n_max: int) -> Fraction:
-    """Exact-rational bound on the tail sum past the truncation point.
+def mu_phi_sieve(n_max: int) -> tuple[list[int], list[int]]:
+    """mu(n) and phi(n) for n = 0..n_max (index 0 unused), by one pass of numpy strides
+    per prime q <= n_max: q flips the sign of mu on its multiples and zeroes it on those
+    of q**2, and takes phi(n) to phi(n) - phi(n)/q on its multiples."""
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    phi = np.arange(n_max + 1, dtype=np.int64)
+    for q in prime_sieve(n_max):
+        mu[q::q] *= -1
+        mu[q * q::q * q] = 0
+        phi[q::q] -= phi[q::q] // q
+    return mu.tolist(), phi.tolist()
+
+
+def _tail_bound(t: int, mu: list[int], phi: list[int]) -> Fraction:
+    """Exact-rational bound on the tail sum past the truncation point N, for mu and phi
+    sieved up to N.
 
     Every dropped term has absolute value at most 1/degree, and the degree
     satisfies degree >= n*t*phi(n)*phi(t)/2, so the tail is at most
@@ -129,13 +143,9 @@ def _tail_bound(t: int, n_max: int) -> Fraction:
     m > N remainder is at most zeta(2)*sqrt(2)*(2/3)*N^(-3/2) <= 33/(20*N*sqrt(N))
     using phi(m) >= sqrt(m/2) and zeta(2) <= 33/20.
     """
-    n = n_max
+    n = len(mu) - 1
     head = sum(
-        (
-            Fraction(1, euler_phi(m) * m * m * (n // m))
-            for m in range(1, n + 1)
-            if is_squarefree(m)
-        ),
+        (Fraction(1, phi[m] * m * m * (n // m)) for m in range(1, n + 1) if mu[m]),
         Fraction(0),
     )
     rest = Fraction(33, 20 * n * math.isqrt(n))
@@ -148,10 +158,11 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate
     if t < 1 or d < 1 or n_max < 1:
         raise DomainError(f"need t, d, N >= 1, got t={t}, d={d}, N={n_max}")
     b = 1 + t * a
+    mus, phis = mu_phi_sieve(n_max)
     terms: list[DeltaTerm] = []
     total = Fraction(0)
     for n in range(1, n_max + 1):
-        mu = moebius(n)
+        mu = mus[n]
         if mu == 0 or a % math.gcd(n, d) != 0:
             continue
         ind = c_g(g, b, d * t, n * t)
@@ -166,7 +177,7 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate
         t=t,
         truncation=n_max,
         partial_sum=total,
-        tail_bound=_tail_bound(t, n_max),
+        tail_bound=_tail_bound(t, mus, phis),
         terms=tuple(terms),
     )
 

@@ -1,8 +1,8 @@
-"""What the exact routes read once the q-Lucas theorem has done its work.
+"""What the Andrews route reads once the q-Lucas theorem has done its work.
 
 With p - 1 = I*d, d the order of alpha, the q-Lucas theorem reduces the
 q-binomials [p-1, m] at alpha to ordinary binomials C(I, m/d) mod p.  So
-the Andrews and proposition routes read only d and one binomial row.
+the Andrews route reads only d and one binomial row.
 """
 
 from __future__ import annotations

@@ -165,3 +165,17 @@ def fib_mod(n: int, p: int) -> Residue:
         else:
             a, b = c, d
     return Residue(a, p)
+
+
+def fib_mod_lanes(n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """F_n mod p lane by lane, by fast doubling from the top bit of the largest n, for int64
+    lanes with n >= 0 and p <= RECURRENCE_MAX_P.  2b - a and each square are reduced before
+    they are added, so no sum passes 2p and no product (p - 1)**2; a lane's leading zero
+    bits keep (F_0, F_1) = (0, 1)."""
+    a, b = np.zeros_like(p), np.ones_like(p)
+    for shift in range(int(n.max(initial=0)).bit_length() - 1, -1, -1):
+        c = a * ((2 * b - a) % p) % p
+        d = (a * a % p + b * b % p) % p
+        bit = (n >> shift) & 1 == 1
+        a, b = np.where(bit, d, c), np.where(bit, (c + d) % p, d)
+    return a

@@ -239,11 +239,11 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
                for i, r in enumerate(records) if r.get("paths_agree") is not True])
 
 
-def _rebuild_records(rows, alpha: Fraction, lhs: dict[int, int],
+def _rebuild_records(blocks, alpha: Fraction, lhs: dict[int, int],
                      paths: frozenset[str]) -> list[CongruenceRecord]:
     """A chunk's records, with the recurrence's lhs for the primes that lhs lacks;
     the recurrence does not run when no prime lacks one."""
-    rds = applicable_data(alpha, rows)
+    rds = applicable_data(alpha, blocks)
     missing = [rd for rd in rds if rd.p not in lhs]
     computed = iter(build_records(missing, paths) if missing else ())
     return [make_record(rd, lhs[rd.p], paths) if rd.p in lhs else next(computed) for rd in rds]

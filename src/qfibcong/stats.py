@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .congruence import proposition_value, run_chunks
+import numpy as np
+
+from .congruence import proposition_values, run_chunks
 # Unused here; perfbench/tests/test_perfbench.py checks this binding is congruence's.
 from .congruence import residual_data  # noqa: F401
 from .density import _require_base, require_x_bound
 from .errors import DomainError, TheoremViolation
-from .qfib import fib, fib_mod
+from .qfib import fib, fib_mod_lanes
 
 DEFAULT_WITNESS_CAP = 10_000
 
@@ -45,21 +47,27 @@ class OccurrenceReport:
     by_value_counts: dict[str, int]
 
 
-def _histogram_chunk(rows, alpha, cap) -> tuple[dict[int, int], dict[int, list[int]]]:
+def _histogram_chunk(blocks, alpha, cap) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Check and bucket a chunk's applicable primes, block by block of ascending columns."""
     counts: dict[int, int] = {}
     witnesses: dict[int, list[int]] = {}
-    sums: dict = {}  # the S-set sums by key, for this chunk only
-    for p, a, d, index, lsym in rows:
+    for p, a, d, index, lsym in blocks:
         n_star = index + lsym
-        lhs, rhs = proposition_value(p, a, d, index, sums), fib_mod(n_star, p).value
-        if lhs != rhs:
+        lhs, rhs = proposition_values(p, a, d, index), fib_mod_lanes(n_star, p)
+        failed = np.flatnonzero(lhs != rhs)
+        if failed.size:
+            i = failed[0]
             raise TheoremViolation(
-                f"congruence failed at p={p}, alpha={alpha}: F_p = {lhs} but F_{n_star} = {rhs} mod p"
+                f"congruence failed at p={p[i]}, alpha={alpha}: "
+                f"F_p = {lhs[i]} but F_{n_star[i]} = {rhs[i]} mod p"
             )
-        counts[n_star] = counts.get(n_star, 0) + 1
-        bucket = witnesses.setdefault(n_star, [])
-        if len(bucket) < cap:
-            bucket.append(p)
+        order = np.argsort(n_star, kind="stable")  # each bucket's primes stay ascending
+        keys, starts, sizes = np.unique(n_star[order], return_index=True, return_counts=True)
+        ps = p[order]
+        for n, start, size in zip(keys.tolist(), starts.tolist(), sizes.tolist()):
+            counts[n] = counts.get(n, 0) + size
+            bucket = witnesses.setdefault(n, [])
+            bucket += ps[start:start + min(size, cap - len(bucket))].tolist()
     return counts, witnesses
 
 

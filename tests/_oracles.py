@@ -4,9 +4,10 @@ Everything here is deliberately naive: direct sums, trial division, and
 row-by-row Pascal recurrences, sharing no code with the library paths
 they check.  The paper's lemma objects at the end (the Legendre symbol,
 q-integers, the base-d q-binomial, Andrews' sum for every n, the unit
-ratios C_k and the integer sums G_{n,m}) are checked against the naive
-q-Pascal triangle, each other and the shipped routes: kronecker, the
-Andrews route and the recurrence.
+ratios C_k, the integer sums G_{n,m} and the S-set sums read off a
+binomial row) are checked against the naive q-Pascal triangle, each other
+and the shipped routes: kronecker, the Andrews route, the proposition
+route's five-section and the recurrence.
 """
 
 import math
@@ -256,3 +257,19 @@ def g_value(n: int, m: int) -> int:
     sum2 = sum(math.comb(n, i) for i in range(n + 1) if (i - base2) % 5 == 0)
     sign = -1 if n % 2 else 1
     return sign * (sum1 - sum2)
+
+
+def s_set_sums(row: list[int], d: int, p: int) -> tuple[int | None, int, int]:
+    """S1's least index (None if S1 is empty), and row[k] summed over S1 and over S2:
+    k is in S1 when 2*k*d - p = 4 mod 5, and in S2 when it is 3 mod 5."""
+    k1 = None
+    sum1 = sum2 = 0
+    for k, comb in enumerate(row):
+        r = (2 * k * d - p) % 5
+        if r == 4:
+            if k1 is None:
+                k1 = k
+            sum1 += comb
+        elif r == 3:
+            sum2 += comb
+    return k1, sum1, sum2

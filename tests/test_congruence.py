@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -23,7 +24,7 @@ from qfibcong.qfib import RECURRENCE_MAX_P, fib_mod, qfib_mod_recurrence
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
 
-from _oracles import primes_trial
+from _oracles import primes_trial, s_set_sums as oracle_s_set_sums
 
 
 def test_residual_data_examples():
@@ -94,6 +95,7 @@ _BIG = 2**63
        skip=st.sampled_from(("none", "num", "den", "minus1")), pick=st.integers(0, 10**6))
 @example(start=3, offset=0, width=200, num=2, den=1, skip="none", pick=0)
 @example(start=10**9, offset=0, width=800, num=-7, den=_BIG + 1, skip="minus1", pick=3)
+@example(start=10**6 - 2000, offset=0, width=2000, num=-7, den=1, skip="none", pick=0)
 def test_residual_window_matches_residual_data(start, offset, width, num, den, skip, pick):
     """The window function against the per-prime path, near 2, 1e6 and 1e9; p - 1 there
     has q**e with e >= 2 and a prime cofactor above sqrt(p_max) for many p."""
@@ -134,25 +136,51 @@ def test_residual_window_hits_each_reason_and_each_order_step():
         congruence.residual_window(Fraction(2), [RECURRENCE_MAX_P + 12])
 
 
-def test_grouped_s_set_sums_match_the_binomial_row_route_at_the_cutoff():
-    cutoff = congruence._EXACT_SUMS_MAX_I
-    for index in (cutoff, cutoff + 1):
+def _s_set_lanes(p, d, index):
+    """congruence.s_set_sums on lanes of ints, as (k1 or None, sum1, sum2) per lane."""
+    k1, sum1, sum2 = congruence.s_set_sums(*(np.array(v, dtype=np.int64) for v in (p, d, index)))
+    return [(None if k < 0 else k, s1, s2)
+            for k, s1, s2 in zip(k1.tolist(), sum1.tolist(), sum2.tolist())]
+
+
+def _s_set_oracle(p, d, index):
+    k1, sum1, sum2 = oracle_s_set_sums(binomial_row(index, p), d, p)
+    return k1, sum1 % p, sum2 % p
+
+
+def test_s_set_sums_match_the_binomial_row_oracle_to_index_600():
+    # one call over every I <= 600 and each d mod 5, so lanes join at every step
+    p = 1009
+    lanes = [(p, d, index) for index in range(601) for d in (1, 2, 3, 4, 6, p - 1)]
+    want = [_s_set_oracle(*lane) for lane in lanes]
+    assert _s_set_lanes(*zip(*lanes)) == want
+    assert sum(k1 is None for k1, _, _ in want) > 0  # r1 > I: S1 empty
+    for index in (600, 1025):
         # p = index * d + 1, and alpha = g**index for a primitive root g has order d
         d = next(d for d in range(2, 10**4) if d % 5 and is_prime(index * d + 1))
         p = index * d + 1
         g = next(g for g in range(2, p) if multiplicative_order(Residue(g, p)) == p - 1)
-        a = pow(g, index, p)
-        rd = residual_data(Fraction(a), p)
+        rd = residual_data(Fraction(pow(g, index, p)), p)
         assert (rd.ord, rd.index) == (d, index) and rd.applicable
-        sums = {}
-        value = congruence.proposition_value(p, a, d, index, sums)
-        assert value == qfib_mod_recurrence(p, Residue(a, p)).value
-        k1, sum1, sum2 = congruence._s_set_sums(binomial_row(index, p), d, p)
-        if index == cutoff:  # the grouped exact sums, reduced mod p
-            assert [(k, s1 % p, s2 % p) for k, s1, s2 in sums.values()] == [
-                (k1, sum1 % p, sum2 % p)]
-        else:
-            assert sums == {}
+        assert qfib_mod_proposition(rd) == qfib_mod_recurrence(p, rd.alpha_res)
+
+
+_LANE = st.tuples(st.integers(3, RECURRENCE_MAX_P), st.integers(0, 3000),
+                  st.integers(1, RECURRENCE_MAX_P))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lanes=st.lists(_LANE, min_size=1, max_size=6))
+@example(lanes=[(RECURRENCE_MAX_P, 0, 1), (RECURRENCE_MAX_P, 2, 7), (7, 3, 3),
+                (RECURRENCE_MAX_P, 3000, RECURRENCE_MAX_P - 7)])
+def test_s_set_sums_match_the_oracle_on_drawn_lanes(lanes):
+    """Lanes of (p, I, d), with p the largest prime up to the draw, I < p and 5 not
+    dividing d; the example's first two lanes have S1 empty (r1 > I)."""
+    rows = []
+    for top, index, d in lanes:
+        p = next(q for q in range(top, 2, -1) if is_prime(q))
+        rows.append((p, d if d % 5 else d + 1, index % p))
+    assert _s_set_lanes(*zip(*rows)) == [_s_set_oracle(*row) for row in rows]
 
 
 def test_predicted_index_examples():
@@ -290,7 +318,7 @@ def test_chunk_runner_sieves_only_the_window(monkeypatch):
     lo, hi = 10**6 - 300, 10**6
     parts, skipped = congruence.run_chunks(list, Fraction(2), lo, hi, 1)
     assert calls == [(hi, lo)]
-    ps = [p for p, *_ in parts[0]]
+    ps = [p for block in parts[0] for p in block[0].tolist()]
     assert len(ps) + sum(skipped.values()) == len(real(hi, lo)) > 0
     assert min(ps) >= lo
 

@@ -9,11 +9,12 @@ from qfibcong.density import (
     delta_truncated,
     epsilon_g,
     field_degree,
+    mu_phi_sieve,
     quadratic_discriminant,
     v_count,
 )
 from qfibcong.errors import DomainError
-from qfibcong.modarith import euler_phi, is_squarefree, kronecker, primes_upto
+from qfibcong.modarith import euler_phi, is_squarefree, kronecker, moebius, primes_upto
 
 SQUAREFREE = [g for g in range(2, 60) if is_squarefree(g)]
 
@@ -113,6 +114,13 @@ def test_delta_truncated_positive_certificate():
     est = delta_truncated(2, 1, 5, 11, 200)
     assert est.positive
     assert est.lower_bound == est.partial_sum - est.tail_bound
+
+
+def test_mu_phi_sieve_matches_moebius_and_euler_phi():
+    mu, phi = mu_phi_sieve(10**4)
+    assert len(mu) == len(phi) == 10**4 + 1
+    assert mu[1:] == [moebius(n) for n in range(1, 10**4 + 1)]
+    assert phi[1:] == [euler_phi(n) for n in range(1, 10**4 + 1)]
 
 
 def test_tail_bound_dominates_partial_tails():

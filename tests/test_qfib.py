@@ -15,6 +15,7 @@ from qfibcong.qfib import (
     _UINT32_MAX_P,
     fib,
     fib_mod,
+    fib_mod_lanes,
     qfib_mod_andrews,
     qfib_mod_recurrence,
     qfib_mod_recurrence_many,
@@ -156,6 +157,22 @@ def test_fib_and_fib_mod():
             assert fib_mod(n, p).value == fib(n) % p
     with pytest.raises(DomainError):
         fib(-1)
+
+
+def test_fib_mod_lanes_match_fib_mod():
+    # every n < 2**20 in one call, at the largest prime the int64 lanes serve, against
+    # F_n mod p by the plain recurrence
+    n = np.arange(2**20, dtype=np.int64)
+    p = 3_037_000_493
+    want = qfib_seq_mod(2**20 - 1, 1, p)
+    assert fib_mod_lanes(n, np.full(n.size, p, dtype=np.int64)).tolist() == want
+    # mixed lanes, near RECURRENCE_MAX_P and small, against the scalar fast doubling
+    rng = random.Random(18)
+    ps = [rng.choice((3_037_000_493, 3_037_000_453, 2_147_483_647, 65_537, 7, 3))
+          for _ in range(300)]
+    ns = [rng.choice((0, 1, rng.randrange(2**20), rng.randrange(2**62))) for _ in ps]
+    got = fib_mod_lanes(np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64))
+    assert got.tolist() == [fib_mod(k, p).value for k, p in zip(ns, ps)]
 
 
 def test_g_value_small_table():

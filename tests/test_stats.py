@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qfibcong.congruence import predicted_index, residual_data
-from qfibcong import stats
+from qfibcong import congruence, qanalogue, qfib, stats
 from qfibcong.errors import DomainError, TheoremViolation
 from qfibcong.modarith import primes_upto
 from qfibcong.stats import occurrence_histogram, value_key
@@ -82,7 +82,20 @@ def test_histogram_domain():
 
 
 def test_histogram_aborts_on_a_failed_congruence(monkeypatch):
-    real = stats.proposition_value
-    monkeypatch.setattr(stats, "proposition_value", lambda p, *args: (real(p, *args) + 1) % p)
+    real = stats.proposition_values
+    monkeypatch.setattr(stats, "proposition_values", lambda p, *args: (real(p, *args) + 1) % p)
     with pytest.raises(TheoremViolation, match="congruence failed at p=3, alpha=2: F_p = 1 but F_0 = 0"):
         occurrence_histogram(2, 100)
+
+
+def test_histogram_reads_no_binomial_row_and_no_scalar_fib_mod(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stats checked a prime one at a time")
+
+    for module in (stats, congruence, qfib, qanalogue):
+        for name in ("fib_mod", "binomial_row"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rep = occurrence_histogram(2, 20000)
+    assert max(rep.by_index_counts) > 512  # an index past the old binomial_row cutoff
+    assert rep.primes_checked > 0
