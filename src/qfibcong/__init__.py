@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .congruence import (
     CongruenceRecord,
-    Inapplicable,
     Reason,
     ResidualData,
     ScanReport,
@@ -30,16 +29,12 @@ from .density import (
     v_count,
 )
 from .errors import (
-    BadValuation,
     DomainError,
     InternalInvariantViolation,
-    NotInvertible,
     QFibError,
     TheoremViolation,
 )
 from .modarith import (
-    Rational,
-    Residue,
     euler_phi,
     factorize,
     is_prime,
@@ -62,18 +57,13 @@ from .report import check_report, write_csv, write_json
 from .stats import OccurrenceReport, occurrence_histogram
 
 __all__ = [
-    "BadValuation",
     "CongruenceRecord",
     "DeltaEstimate",
     "DomainError",
-    "Inapplicable",
     "InternalInvariantViolation",
-    "NotInvertible",
     "OccurrenceReport",
     "QFibError",
-    "Rational",
     "Reason",
-    "Residue",
     "ResidualData",
     "ScanReport",
     "TheoremViolation",

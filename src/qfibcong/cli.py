@@ -128,21 +128,20 @@ def _cmd_qfib(args) -> int:
         raise DomainError(f"p must be an odd prime, got {args.p}")
     if args.n > RECURRENCE_MAX_P:
         raise DomainError(f"qfib mod p needs N <= {RECURRENCE_MAX_P}, got {args.n}")
-    alpha = reduce_rational(Fraction(args.q), args.p)
-    print(qfib_mod_recurrence(args.n, alpha).value)
+    print(qfib_mod_recurrence(args.n, reduce_rational(Fraction(args.q), args.p), args.p))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     result = congruence.verify_theorem(Fraction(args.alpha), args.p, args.paths)
-    if isinstance(result, congruence.Inapplicable):
+    if isinstance(result, congruence.ResidualData):
         print(f"inapplicable: {result.reason.value} (alpha = {args.alpha}, p = {args.p})")
         return EXIT_INAPPLICABLE
     rd = result.data
     print(f"alpha = {rd.alpha}, p = {rd.p}")
     print(f"ord = {rd.ord}, index = {rd.index}, lsym = {rd.lsym_ord:+d}")
     print(f"predicted index = {result.predicted_index}")
-    print(f"lhs = {result.lhs.value}, rhs = {result.rhs.value} (mod {rd.p})")
+    print(f"lhs = {result.lhs}, rhs = {result.rhs} (mod {rd.p})")
     print("match" if result.match else "MISMATCH")
     if not result.paths_agree:
         print("error: the evaluation routes disagree", file=sys.stderr)

@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantViolation
 from .modarith import (
-    Rational,
-    Residue,
     is_prime,
     lsym5,
     multiplicative_order,
@@ -40,6 +38,7 @@ from .modarith import (
 from .qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
+    RouteValue,
     fib_mod,
     qfib_mod_andrews,
     qfib_mod_recurrence_many,
@@ -65,11 +64,12 @@ SKIP_REASONS = (
 
 @dataclass(frozen=True)
 class ResidualData:
-    """Everything the congruence needs to know about one (alpha, p) pair."""
+    """Everything the congruence needs to know about one (alpha, p) pair; alpha_res is
+    alpha mod p, in [0, p), or None for a bad valuation of alpha or alpha - 1."""
 
-    alpha: Rational
+    alpha: Fraction
     p: int
-    alpha_res: Residue | None
+    alpha_res: int | None
     ord: int
     index: int
     lsym_ord: int
@@ -81,19 +81,14 @@ class ResidualData:
 
 
 @dataclass(frozen=True)
-class Inapplicable:
-    reason: Reason
-    data: ResidualData
-
-
-@dataclass(frozen=True)
 class CongruenceRecord:
-    """One prime's verification outcome."""
+    """One prime's verification outcome: lhs is F_p(alpha) mod p and rhs F_{n*} mod p,
+    each in [0, p)."""
 
     data: ResidualData
-    lhs: Residue
+    lhs: int
     predicted_index: int
-    rhs: Residue
+    rhs: int
     match: bool
     paths_agree: bool
 
@@ -106,7 +101,7 @@ class CongruenceRecord:
 class ScanReport:
     """Outcome of verifying the congruence over a prime range."""
 
-    alpha: Rational
+    alpha: Fraction
     p_min: int
     p_max: int
     paths: tuple[str, ...]
@@ -118,7 +113,7 @@ class ScanReport:
         return all(r.match for r in self.records)
 
 
-def residual_data(alpha: Rational, p: int) -> ResidualData:
+def residual_data(alpha: Fraction, p: int) -> ResidualData:
     """Order, index, symbol and applicability flags for one (alpha, p) pair."""
     alpha = _require_alpha(alpha)
     if p == 2 or not is_prime(p):
@@ -126,7 +121,7 @@ def residual_data(alpha: Rational, p: int) -> ResidualData:
     return _residual_data(alpha, p)
 
 
-def _require_alpha(alpha: Rational) -> Fraction:
+def _require_alpha(alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
     if alpha == 0 or alpha == 1:
         raise DomainError("alpha must avoid 0 and 1")
@@ -144,11 +139,11 @@ def _residual_data(alpha: Fraction, p: int) -> ResidualData:
         return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA)
     if (num - den) % p == 0:  # alpha - 1 = (num - den)/den in lowest terms
         return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA_MINUS_1)
-    res = Residue(num * pow(den, -1, p) % p, p)
-    d = multiplicative_order(res)
+    a = num * pow(den, -1, p) % p
+    d = multiplicative_order(a, p)
     idx = residual_index(p, d)
     reason = Reason.ORD_DIVISIBLE_BY_5 if d % 5 == 0 else Reason.OK
-    return ResidualData(alpha, p, res, d, idx, lsym5(d), reason)
+    return ResidualData(alpha, p, a, d, idx, lsym5(d), reason)
 
 
 def predicted_index(rd: ResidualData) -> int:
@@ -273,7 +268,7 @@ def applicable_data(alpha: Fraction,
                     blocks: Iterable[tuple[np.ndarray, ...]]) -> list[ResidualData]:
     """The residual data of applicable primes given as blocks of columns
     (p, alpha mod p, ord, index, lsym), as residual_window returns them."""
-    return [ResidualData(alpha, p, Residue(a, p), d, index, lsym, Reason.OK)
+    return [ResidualData(alpha, p, a, d, index, lsym, Reason.OK)
             for columns in blocks
             for p, a, d, index, lsym in zip(*(column.tolist() for column in columns))]
 
@@ -357,25 +352,24 @@ def proposition_values(p: np.ndarray, a: np.ndarray, d: np.ndarray,
     return ((p - euler) * sum2 % p + s1) % p  # S2's term is -(a/p) * sum2
 
 
-def qfib_mod_proposition(rd: ResidualData) -> Residue:
+def qfib_mod_proposition(rd: ResidualData) -> RouteValue:
     """F_p(alpha) mod p from the two S-set binomial sums (see proposition_values)."""
     if not rd.applicable:
         raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
     if rd.p > RECURRENCE_MAX_P:
         raise DomainError(f"int64 lanes need p <= {RECURRENCE_MAX_P}, got {rd.p}")
-    lane = [np.array([v], dtype=np.int64) for v in (rd.p, rd.alpha_res.value, rd.ord, rd.index)]
-    return Residue(int(proposition_values(*lane)[0]), rd.p)
+    lane = [np.array([v], dtype=np.int64) for v in (rd.p, rd.alpha_res, rd.ord, rd.index)]
+    return RouteValue(proposition_values(*lane)[0])
 
 
 def verify_theorem(
-    alpha: Rational, p: int, paths: frozenset[str] = DEFAULT_PATHS
-) -> CongruenceRecord | Inapplicable:
-    """Check the congruence at one prime; optionally cross-check extra paths."""
+    alpha: Fraction, p: int, paths: frozenset[str] = DEFAULT_PATHS
+) -> CongruenceRecord | ResidualData:
+    """Check the congruence at one prime; optionally cross-check extra paths.  An
+    inapplicable pair returns its residual data, whose reason says why."""
     _check_request(paths, p)
     rd = residual_data(alpha, p)
-    if not rd.applicable:
-        return Inapplicable(rd.reason, rd)
-    return build_records([rd], paths)[0]
+    return build_records([rd], paths)[0] if rd.applicable else rd
 
 
 def _check_request(paths: frozenset[str], p_max: int) -> None:
@@ -397,14 +391,15 @@ def _poly_route(rd: ResidualData) -> int:
     """F_p(alpha) mod p by Horner's rule on the exact coefficients of F_p(q)."""
     acc = 0
     for c in reversed(qfib_poly(rd.p)):
-        acc = (acc * rd.alpha_res.value + c) % rd.p
+        acc = (acc * rd.alpha_res + c) % rd.p
     return acc
 
 
 # Routes that cross-check the recurrence, each mapping residual data to F_p(alpha) mod p.
+# Each name is looked up at call time, so a wrapper or patch bound to it later is used.
 _CROSS_CHECKS = {
-    "andrews": lambda rd: qfib_mod_andrews(rd.p, rd.alpha_res, rd.ord).value,
-    "proposition": lambda rd: qfib_mod_proposition(rd).value,
+    "andrews": lambda rd: qfib_mod_andrews(rd.p, rd.alpha_res, rd.ord),
+    "proposition": lambda rd: qfib_mod_proposition(rd),
     "poly": _poly_route,
 }
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
@@ -416,8 +411,8 @@ def make_record(rd: ResidualData, lhs: int, paths: frozenset[str]) -> Congruence
     values = {lhs, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
     n_star = predicted_index(rd)
     rhs = fib_mod(n_star, rd.p)
-    return CongruenceRecord(data=rd, lhs=Residue(lhs, rd.p), predicted_index=n_star, rhs=rhs,
-                            match=lhs == rhs.value, paths_agree=len(values) == 1)
+    return CongruenceRecord(data=rd, lhs=lhs, predicted_index=n_star, rhs=rhs,
+                            match=lhs == rhs, paths_agree=len(values) == 1)
 
 
 def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[CongruenceRecord]:
@@ -427,7 +422,7 @@ def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[Co
     and gives each record's left side.
     """
     rds = list(rds)
-    lhs_values = qfib_mod_recurrence_many([rd.p for rd in rds], [rd.alpha_res.value for rd in rds])
+    lhs_values = qfib_mod_recurrence_many([rd.p for rd in rds], [rd.alpha_res for rd in rds])
     return [make_record(rd, lhs, paths) for rd, lhs in zip(rds, lhs_values)]
 
 
@@ -497,7 +492,7 @@ def run_chunks(
     return [result for result, _ in parts], skipped
 
 
-def scan_request(alpha: Rational, p_min: int, p_max: int,
+def scan_request(alpha: Fraction, p_min: int, p_max: int,
                  paths: frozenset[str]) -> tuple[Fraction, frozenset[str]]:
     """scan_range's input checks, made before any work; returns the alpha and the paths to scan."""
     _check_request(paths, p_max)
@@ -508,7 +503,7 @@ def scan_request(alpha: Rational, p_min: int, p_max: int,
 
 
 def scan_range(
-    alpha: Rational,
+    alpha: Fraction,
     p_min: int,
     p_max: int,
     paths: frozenset[str] = DEFAULT_PATHS,

@@ -9,22 +9,6 @@ class DomainError(QFibError):
     """An argument is outside the operation's domain."""
 
 
-class NotInvertible(QFibError):
-    """Attempted to invert zero in Z/pZ."""
-
-
-class BadValuation(QFibError):
-    """A rational has nonzero p-adic valuation where zero is required.
-
-    ``sign`` is "positive" when p divides the numerator and "negative"
-    when p divides the denominator.
-    """
-
-    def __init__(self, sign: str, message: str = ""):
-        super().__init__(message or f"bad valuation ({sign})")
-        self.sign = sign
-
-
 class InternalInvariantViolation(QFibError):
     """A condition the implementation guarantees was observed to fail."""
 

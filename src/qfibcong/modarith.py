@@ -1,30 +1,20 @@
 """Modular and multiplicative arithmetic over prime fields.
 
-Primes, factorization, residues, multiplicative orders, residual indices,
-and the two quadratic-residue symbols the rest of the library needs.
-All functions are pure; values are freely copyable across workers.
+Primes, factorization, the residue of a rational, multiplicative orders,
+residual indices, and the two quadratic-residue symbols the rest of the
+library needs.  All functions are pure; a residue mod p is a plain int in [0, p).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BadValuation,
-    DomainError,
-    InternalInvariantViolation,
-    NotInvertible,
-)
-
-# The exact-rational carrier.  fractions.Fraction already maintains the
-# gcd(num, den) = 1, den >= 1 normal form required of rationals here.
-Rational = Fraction
+from .errors import DomainError, InternalInvariantViolation
 
 Factorization = list[tuple[int, int]]
 
@@ -34,27 +24,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e
 # The bound below which is_squarefree factors by Pollard rho, whose time grows as n**(1/4): a product
 # of two primes near 1e9 took at most 0.07 s, one near 1e10 0.27 s (Python 3.11, 2-core Xeon VM).
 _RHO_MAX_N = 10**20
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/pZ together with its prime modulus.
-
-    The canonical lift lives in [0, p); all congruence comparisons happen
-    on lifts.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise DomainError(f"modulus {self.modulus} is not a prime")
-        if not 0 <= self.value < self.modulus:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 _SEGMENT = 1 << 18
@@ -162,14 +131,14 @@ def factorize(n: int) -> Factorization:
     return sorted(factors.items())
 
 
-def reduce_rational(alpha: Rational, p: int) -> Residue:
-    """The image of alpha under Z_(p) -> Z/pZ; requires v_p(alpha) = 0."""
+def reduce_rational(alpha: Fraction, p: int) -> int:
+    """The image of alpha under Z_(p) -> Z/pZ, in [0, p); requires v_p(alpha) = 0."""
     num, den = alpha.numerator, alpha.denominator
     if num % p == 0:
-        raise BadValuation("positive", f"{p} divides numerator of {alpha}")
+        raise DomainError(f"{p} divides numerator of {alpha}")
     if den % p == 0:
-        raise BadValuation("negative", f"{p} divides denominator of {alpha}")
-    return Residue(num * pow(den, -1, p) % p, p)
+        raise DomainError(f"{p} divides denominator of {alpha}")
+    return num * pow(den, -1, p) % p
 
 
 def lsym5(m: int) -> int:
@@ -203,14 +172,13 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def multiplicative_order(a: Residue) -> int:
-    """Least d >= 1 with a**d = 1, by dividing prime factors out of p - 1."""
-    if a.value == 0:
-        raise NotInvertible(f"0 mod {a.modulus} has no order")
-    p = a.modulus
+def multiplicative_order(a: int, p: int) -> int:
+    """Least d >= 1 with a**d = 1 mod the prime p, by dividing prime factors out of p - 1."""
+    if a % p == 0:
+        raise DomainError(f"0 mod {p} has no order")
     d = p - 1
     for q, _ in factorize(p - 1):
-        while d % q == 0 and pow(a.value, d // q, p) == 1:
+        while d % q == 0 and pow(a, d // q, p) == 1:
             d //= q
     return d
 

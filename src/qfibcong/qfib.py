@@ -14,8 +14,6 @@ from operator import add
 import numpy as np
 
 from .errors import DomainError
-from .modarith import Residue
-from .qanalogue import _context, binomial_row
 
 _QFIB_POLYS: list[tuple[int, ...]] = [(), (1,)]
 
@@ -52,19 +50,17 @@ def qfib_poly(n: int) -> tuple[int, ...]:
     return _QFIB_POLYS[n]
 
 
-def qfib_mod_recurrence(n: int, alpha: Residue) -> Residue:
-    """F_n(alpha) mod p by the recurrence, maintaining the rolling power q**k."""
+def qfib_mod_recurrence(n: int, a: int, p: int) -> int:
+    """F_n(a) mod p by the recurrence, maintaining the rolling power q**k."""
     if n < 0:
         raise DomainError(f"qfib_mod_recurrence needs n >= 0, got {n}")
-    p = alpha.modulus
-    a = alpha.value
     if n == 0:
-        return Residue(0, p)
+        return 0
     f0, f1, pw = 0, 1, 1
     for _ in range(n - 1):
         f0, f1 = f1, (f1 + pw * f0) % p
         pw = pw * a % p
-    return Residue(f1, p)
+    return f1
 
 
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:
@@ -92,7 +88,7 @@ def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -
     scalar recurrence prime by prime.
     """
     if len(primes) < _LOCKSTEP_MIN_BATCH:
-        return [qfib_mod_recurrence(p, Residue(a, p)).value for p, a in zip(primes, alpha_values)]
+        return [qfib_mod_recurrence(p, a, p) for p, a in zip(primes, alpha_values)]
     P = np.array(primes, dtype=dtype)
     A = np.array(alpha_values, dtype=dtype)
     F0 = np.zeros(len(primes), dtype=dtype)
@@ -110,19 +106,44 @@ def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -
     return out
 
 
-def qfib_mod_andrews(n: int, alpha: Residue, d: int) -> Residue:
-    """F_p(alpha) mod p by Andrews' alternating q-binomial sum, at n = p only.
+class RouteValue(int):
+    """F_p(alpha) mod p as a cross-check route returns it: a plain int that also answers
+    .value, the attribute the benchmark's route check (perfbench/workloads.py) reads."""
+
+    @property
+    def value(self) -> int:
+        return int(self)
+
+
+def binomial_row(n: int, p: int) -> list[int]:
+    """C(n, k) mod p for k = 0..n and a prime p > n, by C(n, k + 1) = C(n, k) * (n - k) / (k + 1)
+    with the inverses of 1..n from the linear-time table inv[i] = -(p // i) * inv[p % i]."""
+    if not 0 <= n < p:
+        raise DomainError(f"binomial_row needs 0 <= n < p = {p}, got n = {n}")
+    inv = [0, 1]
+    for i in range(2, n + 1):
+        inv.append((p - p // i) * inv[p % i] % p)
+    row = [comb := 1]
+    for k in range(n):
+        row.append(comb := comb * (n - k) % p * inv[k + 1] % p)
+    return row
+
+
+def qfib_mod_andrews(p: int, a: int, d: int) -> RouteValue:
+    """F_p(a) mod the odd prime p by Andrews' alternating q-binomial sum, for a unit a mod p
+    of order d.
 
     Andrews' formula is F_p = sum_j (-1)**j q**(j(5j+1)/2) [p-1, floor((p-1-5j)/2)].
-    With p - 1 = I*d, the q-Lucas theorem gives [p-1, m] = C(I, m/d) at q = alpha
+    With p - 1 = I*d, the q-Lucas theorem gives [p-1, m] = C(I, m/d) at q = a
     when d divides m, and 0 otherwise.  So only m = k*d, k = 0..I, survive:
     with t = p - 1 - 2kd, m = kd exactly when t mod 5 is 0 or 1, and then j = t // 5.
-    That is O(I) terms; exponents are reduced mod p - 1 since alpha**(p-1) = 1.
+    That is O(I) terms; exponents are reduced mod p - 1 since a**(p-1) = 1.
+
+    The caller's d is trusted to be the order, as the residual data gives it.  The route
+    checks only, in O(log p), that d divides p - 1 and that a**d = 1, and raises
+    DomainError otherwise; a proper multiple of the order passes and gives a wrong value.
     """
-    p, a = alpha.modulus, alpha.value
-    if n != p:
-        raise DomainError(f"qfib_mod_andrews needs n = p = {p}, got {n}")
-    if _context(p, a) != d:
+    if not (0 < d and (p - 1) % d == 0 and pow(a, d, p) == 1):
         raise DomainError(f"d = {d} is not the order of {a} mod {p}")
     total = 0
     for k, comb in enumerate(binomial_row((p - 1) // d, p)):
@@ -132,7 +153,7 @@ def qfib_mod_andrews(n: int, alpha: Residue, d: int) -> Residue:
         j = t // 5
         term = pow(a, j * (5 * j + 1) // 2 % (p - 1), p) * comb % p
         total = (total - term if j % 2 else total + term) % p
-    return Residue(total, p)
+    return RouteValue(total)
 
 
 def fib(n: int) -> int:
@@ -152,7 +173,7 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return (d, c + d) if n & 1 else (c, d)
 
 
-def fib_mod(n: int, p: int) -> Residue:
+def fib_mod(n: int, p: int) -> int:
     """F_n mod p by fast doubling, O(log n)."""
     if n < 0:
         raise DomainError(f"fib_mod needs n >= 0, got {n}")
@@ -164,7 +185,7 @@ def fib_mod(n: int, p: int) -> Residue:
             a, b = d, (c + d) % p
         else:
             a, b = c, d
-    return Residue(a, p)
+    return a
 
 
 def fib_mod_lanes(n: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -46,8 +46,8 @@ def _record_dict(r: CongruenceRecord) -> dict[str, Any]:
         "index": r.data.index,
         "lsym": r.data.lsym_ord,
         "predicted_index": r.predicted_index,
-        "lhs": _big(r.lhs.value),
-        "rhs": _big(r.rhs.value),
+        "lhs": _big(r.lhs),
+        "rhs": _big(r.rhs),
         "match": r.match,
         "paths_agree": r.paths_agree,
     }

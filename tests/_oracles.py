@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue, is_prime, lsym5, multiplicative_order
+from qfibcong.modarith import is_prime, lsym5, multiplicative_order
 
 
 def primes_trial(limit: int) -> list[int]:
@@ -163,16 +163,15 @@ def andrews_sum(n: int, a: int, p: int) -> int:
     return total % p
 
 
-def q_ratio(k: int, l: int, alpha: Residue, d: int | None = None) -> Residue:
-    """The residue of [k]_alpha / [l]_alpha for k = l mod d = ord(alpha).
+def q_ratio(k: int, l: int, a: int, p: int, d: int | None = None) -> int:
+    """The residue of [k]_a / [l]_a mod p for k = l mod d = ord(a).
 
-    When [l]_alpha is a unit this is a plain quotient of evaluated
-    q-integers; when [l]_alpha vanishes (d | l) the common geometric
+    When [l]_a is a unit this is a plain quotient of evaluated
+    q-integers; when [l]_a vanishes (d | l) the common geometric
     factor cancels and the value is (k/d) / (l/d) mod p.
     """
-    p, a = alpha.modulus, alpha.value
     if d is None:
-        d = multiplicative_order(alpha)
+        d = multiplicative_order(a, p)
     if not 1 <= l <= p - 1:
         raise DomainError(f"q_ratio needs 1 <= l <= p-1, got l = {l}")
     if k < 1:
@@ -180,20 +179,19 @@ def q_ratio(k: int, l: int, alpha: Residue, d: int | None = None) -> Residue:
     if (k - l) % d != 0:
         raise DomainError(f"q_ratio needs k = l mod {d}")
     if l % d == 0:
-        return Residue((k // d) % p * pow((l // d) % p, -1, p) % p, p)
-    return Residue(q_int(k, a, p) * pow(q_int(l, a, p), -1, p) % p, p)
+        return (k // d) % p * pow((l // d) % p, -1, p) % p
+    return q_int(k, a, p) * pow(q_int(l, a, p), -1, p) % p
 
 
-def c_k(k: int, alpha: Residue, d: int | None = None) -> Residue:
-    """The ratio ([p-k-1]...[p-k-d]) / ([k+d]...[k+1]) at alpha, as a residue.
+def c_k(k: int, a: int, p: int, d: int | None = None) -> int:
+    """The ratio ([p-k-1]...[p-k-d]) / ([k+d]...[k+1]) at a, as a residue mod p.
 
     Each denominator factor [k+i] is paired with the unique numerator
     factor [p-k-j] in the same class mod d, and the pair is resolved by
     q_ratio; the product of the pairs is the value.
     """
-    p = alpha.modulus
     if d is None:
-        d = multiplicative_order(alpha)
+        d = multiplicative_order(a, p)
     if not 0 <= k <= p - 1 - d:
         raise DomainError(f"c_k needs 0 <= k <= p-1-ord, got k = {k}")
     out = 1
@@ -201,19 +199,18 @@ def c_k(k: int, alpha: Residue, d: int | None = None) -> Residue:
         j = (p - 2 * k - i) % d
         if j == 0:
             j = d
-        out = out * q_ratio(p - k - j, k + i, alpha, d).value % p
-    return Residue(out, p)
+        out = out * q_ratio(p - k - j, k + i, a, p, d) % p
+    return out
 
 
-def c_k_all(alpha: Residue) -> list[int]:
+def c_k_all(a: int, p: int) -> list[int]:
     """C_k for every k in [0, p-1-d] in one O(p) pass.
 
-    Same pairing as c_k, regrouped: with u[i] = [i]_alpha when d does not
+    Same pairing as c_k, regrouped: with u[i] = [i]_a when d does not
     divide i and u[i] = i/d otherwise, every pair ratio is a quotient of
     u-values, so C_k is a quotient of prefix products of u.
     """
-    p, a = alpha.modulus, alpha.value
-    d = multiplicative_order(alpha)
+    d = multiplicative_order(a, p)
     u = [1] * p  # u[0] unused
     if a == 1:
         for i in range(1, p):

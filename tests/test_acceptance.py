@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qfibcong.congruence import ALL_PATHS, scan_range
 from qfibcong.density import delta_truncated, field_degree
-from qfibcong.modarith import Residue, lsym5, multiplicative_order, primes_upto
+from qfibcong.modarith import lsym5, multiplicative_order, primes_upto
 from qfibcong.qfib import fib
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
@@ -108,13 +108,12 @@ def test_criterion_4_unit_ratio_suite(capsys):
         if p == 2:
             continue
         for a in range(2, p):
-            alpha = Residue(a, p)
-            d = multiplicative_order(alpha)
+            d = multiplicative_order(a, p)
             idx = (p - 1) // d
             # ratio branches: [k]/[l] is 1 off the zero class, k/l on it
             for l in range(1, p):
                 k = l + d
-                got = q_ratio(k, l, alpha, d).value
+                got = q_ratio(k, l, a, p, d)
                 want = k * pow(l, -1, p) % p if l % d == 0 else 1
                 if got != want:
                     failures.append(f"q_ratio({k},{l}) wrong at p={p}, a={a}")
@@ -125,7 +124,7 @@ def test_criterion_4_unit_ratio_suite(capsys):
                 if row[k] != want:
                     failures.append(f"row p-1 wrong at p={p}, a={a}, k={k}")
             # C_k: never zero, and it advances the top row by d
-            cks = c_k_all(alpha)
+            cks = c_k_all(a, p)
             if any(v == 0 for v in cks):
                 failures.append(f"vanishing C_k at p={p}, a={a}")
             for k in range(p - 1 - d):
@@ -149,7 +148,7 @@ def test_criterion_5_q_lucas_oracle(capsys):
         if p == 2:
             continue
         for a in range(2, p):
-            d = multiplicative_order(Residue(a, p))
+            d = multiplicative_order(a, p)
             table = qpascal_table(p - 1, a, p)
             for n in range(p):
                 for m in range(n + 1):
@@ -162,7 +161,7 @@ def test_criterion_5_q_lucas_oracle(capsys):
     while draws < 10**4:
         p = rng.choice(odd_primes)
         a = rng.randrange(2, p)
-        d = multiplicative_order(Residue(a, p))
+        d = multiplicative_order(a, p)
         table = qpascal_table(p - 1, a, p)
         for _ in range(100):
             n = rng.randrange(p)

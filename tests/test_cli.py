@@ -2,9 +2,9 @@ import csv
 import json
 from fractions import Fraction
 
-from qfibcong import cli, congruence, density, modarith, qanalogue, report, stats
+from qfibcong import cli, congruence, density, modarith, report, stats
 from qfibcong.cli import main
-from qfibcong.modarith import Residue, lsym5
+from qfibcong.modarith import lsym5
 from qfibcong.qfib import POLY_MAX_N, RECURRENCE_MAX_P, fib_mod
 from qfibcong.report import check_report
 
@@ -34,6 +34,11 @@ def test_qfib_mod(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run(capsys, "qfib", "7", "--q", "1/2", "--p", "13")
     assert code == 0
+    # alpha must be a unit mod p: p may divide neither its numerator nor its denominator
+    for q, err_text in (("7", "error: 7 divides numerator of 7\n"),
+                        ("1/7", "error: 7 divides denominator of 1/7\n")):
+        code, out, err = run(capsys, "qfib", "5", "--q", q, "--p", "7")
+        assert (code, out, err) == (2, "", err_text)
 
 
 def test_qfib_mod_refuses_bad_input_before_any_work(capsys, monkeypatch):
@@ -63,8 +68,10 @@ def test_verify_exit_codes(capsys, monkeypatch):
         "lhs = 1, rhs = 1 (mod 7)\n"
         "match\n"
     )
-    code, out, _ = run(capsys, "verify", "--alpha", "2", "--p", "11")
-    assert code == 3 and "inapplicable" in out
+    for alpha, p, reason in (("7", "7", "BadValuationAlpha"), ("8", "7", "BadValuationAlphaMinus1"),
+                             ("2", "11", "OrdDivisibleBy5")):
+        code, out, err = run(capsys, "verify", "--alpha", alpha, "--p", p)
+        assert (code, out, err) == (3, f"inapplicable: {reason} (alpha = {alpha}, p = {p})\n", "")
     code, _, err = run(capsys, "verify", "--alpha", "1", "--p", "7")
     assert code == 2
     code, _, err = run(capsys, "verify", "--alpha", "2", "--p", "9")
@@ -126,8 +133,7 @@ def test_window_paths_find_no_order_one_prime_at_a_time(capsys, monkeypatch, tmp
         raise AssertionError("an order was found one prime at a time")
 
     for module, name in ((modarith, "factorize"), (modarith, "multiplicative_order"),
-                         (congruence, "multiplicative_order"),
-                         (qanalogue, "multiplicative_order")):
+                         (congruence, "multiplicative_order")):
         monkeypatch.setattr(module, name, refuse)
     scan, hist = tmp_path / "scan.json", tmp_path / "stats.json"
     assert run(capsys, "scan", "--alpha", "3/2", "--pmax", "3000", "--out", str(scan))[0] == 0
@@ -178,7 +184,7 @@ def test_exact_polynomial_route_is_bounded(capsys):
 def test_route_disagreement_fails(capsys, monkeypatch, tmp_path):
     real = congruence.qfib_mod_proposition
     monkeypatch.setattr(
-        congruence, "qfib_mod_proposition", lambda rd: Residue(real(rd).value + 1, rd.p)
+        congruence, "qfib_mod_proposition", lambda rd: (real(rd) + 1) % rd.p
     )
     code, out, err = run(capsys, "verify", "--alpha", "2", "--p", "13",
                          "--paths", "recurrence,proposition")
@@ -278,7 +284,7 @@ def test_check_command(capsys, tmp_path):
     assert (record["p"], record["lsym"]) == (19, -1)
     record["lsym"] = 1
     record["predicted_index"] = record["index"] + record["lsym"]
-    record["lhs"] = record["rhs"] = str(fib_mod(2, 19).value)
+    record["lhs"] = record["rhs"] = str(fib_mod(2, 19))
     record["match"] = True
     path.write_text(json.dumps(payload))
     assert check_report(str(path)) == [
@@ -298,7 +304,7 @@ def test_check_command(capsys, tmp_path):
     record["index"] //= 2
     record["lsym"] = lsym5(record["ord"])
     record["predicted_index"] = record["index"] + record["lsym"]
-    record["lhs"] = record["rhs"] = str(fib_mod(record["predicted_index"], record["p"]).value)
+    record["lhs"] = record["rhs"] = str(fib_mod(record["predicted_index"], record["p"]))
     record["match"] = True
     path.write_text(json.dumps(payload))
     assert check_report(str(path)) == [
@@ -535,7 +541,7 @@ def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
     # 645 = 3 * 5 * 43 is a base-2 Fermat pseudoprime, with ord 28 and index 23
     payload = json.loads(body)
     k = next(k for k, r in enumerate(payload["records"]) if r["p"] > 645)
-    value = str(fib_mod(22, 645).value)
+    value = str(fib_mod(22, 645))
     payload["records"].insert(k, {"p": 645, "ord": 28, "index": 23, "lsym": -1,
                                   "predicted_index": 22, "lhs": value, "rhs": value,
                                   "match": True, "paths_agree": True})

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qfibcong import congruence
 from qfibcong.congruence import (
     ALL_PATHS,
-    Inapplicable,
     Reason,
+    ResidualData,
     predicted_index,
     qfib_mod_proposition,
     residual_data,
@@ -18,9 +18,8 @@ from qfibcong.congruence import (
     verify_theorem,
 )
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue, is_prime, multiplicative_order, primes_upto, reduce_rational
-from qfibcong.qanalogue import binomial_row
-from qfibcong.qfib import RECURRENCE_MAX_P, fib_mod, qfib_mod_recurrence
+from qfibcong.modarith import is_prime, multiplicative_order, primes_upto, reduce_rational
+from qfibcong.qfib import RECURRENCE_MAX_P, binomial_row, fib_mod, qfib_mod_recurrence
 from qfibcong.report import scan_report_dict, stats_report_dict
 from qfibcong.stats import occurrence_histogram
 
@@ -72,7 +71,7 @@ def _window_oracle(alpha, primes):
     for p in primes:
         rd = congruence._residual_data(alpha, p)
         if rd.applicable:
-            rows.append((p, rd.alpha_res.value, rd.ord, rd.index, rd.lsym_ord))
+            rows.append((p, rd.alpha_res, rd.ord, rd.index, rd.lsym_ord))
         else:
             skipped[rd.reason.value] += 1
     return rows, skipped
@@ -159,10 +158,10 @@ def test_s_set_sums_match_the_binomial_row_oracle_to_index_600():
         # p = index * d + 1, and alpha = g**index for a primitive root g has order d
         d = next(d for d in range(2, 10**4) if d % 5 and is_prime(index * d + 1))
         p = index * d + 1
-        g = next(g for g in range(2, p) if multiplicative_order(Residue(g, p)) == p - 1)
+        g = next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
         rd = residual_data(Fraction(pow(g, index, p)), p)
         assert (rd.ord, rd.index) == (d, index) and rd.applicable
-        assert qfib_mod_proposition(rd) == qfib_mod_recurrence(p, rd.alpha_res)
+        assert qfib_mod_proposition(rd) == qfib_mod_recurrence(p, rd.alpha_res, p)
 
 
 _LANE = st.tuples(st.integers(3, RECURRENCE_MAX_P), st.integers(0, 3000),
@@ -197,10 +196,8 @@ def test_proposition_handles_negative_exponents():
     rd = residual_data(Fraction(12), 29)
     assert (rd.ord, rd.index) == (4, 7)
     assert (2 * 6 * rd.ord - (29 - 1)) % 5 == 0  # k = 6 lies in S1
-    got = qfib_mod_proposition(rd).value
-    from qfibcong.modarith import Residue
-
-    assert got == qfib_mod_recurrence(29, Residue(12, 29)).value
+    got = qfib_mod_proposition(rd)
+    assert got == got.value == qfib_mod_recurrence(29, 12, 29)  # .value for perfbench
 
 
 def test_proposition_matches_recurrence_exhaustively():
@@ -213,22 +210,22 @@ def test_proposition_matches_recurrence_exhaustively():
                 continue
             s1 = [k for k in range(rd.index + 1) if (2 * k * rd.ord - (p - 1)) % 5 == 0]
             multi += len(s1) >= 2
-            want = qfib_mod_recurrence(p, rd.alpha_res).value
-            assert qfib_mod_proposition(rd).value == want, (a, p)
+            want = qfib_mod_recurrence(p, rd.alpha_res, p)
+            assert qfib_mod_proposition(rd) == want, (a, p)
     assert multi > 100
 
 
 def test_verify_theorem_examples():
     r = verify_theorem(Fraction(2), 7, ALL_PATHS)
     assert r.match and r.paths_agree
-    assert (r.lhs.value, r.rhs.value, r.predicted_index) == (1, 1, 1)
+    assert (r.lhs, r.rhs, r.predicted_index) == (1, 1, 1)
     r = verify_theorem(Fraction(2), 13)
-    assert r.match and (r.lhs.value, r.predicted_index) == (0, 0)
+    assert r.match and (r.lhs, r.predicted_index) == (0, 0)
     r = verify_theorem(Fraction(2), 5)
-    assert r.match and r.predicted_index == 2 and r.lhs.value == 1
+    assert r.match and r.predicted_index == 2 and r.lhs == 1
     r = verify_theorem(Fraction(2), 11)
-    assert isinstance(r, Inapplicable)
-    assert r.reason is Reason.ORD_DIVISIBLE_BY_5
+    assert isinstance(r, ResidualData)
+    assert r == residual_data(Fraction(2), 11) and r.reason is Reason.ORD_DIVISIBLE_BY_5
 
 
 def test_verify_theorem_rational_alphas():
@@ -237,7 +234,7 @@ def test_verify_theorem_rational_alphas():
             if p == 2:
                 continue
             r = verify_theorem(alpha, p, ALL_PATHS)
-            if isinstance(r, Inapplicable):
+            if isinstance(r, ResidualData):
                 continue
             assert r.match and r.paths_agree
 
@@ -247,9 +244,9 @@ def test_verify_matches_prediction_via_independent_rhs():
         if p == 2:
             continue
         r = verify_theorem(Fraction(3), p)
-        if isinstance(r, Inapplicable):
+        if isinstance(r, ResidualData):
             continue
-        assert r.rhs.value == fib_mod(r.predicted_index, p).value
+        assert r.rhs == fib_mod(r.predicted_index, p)
         assert r.match
 
 
@@ -268,8 +265,8 @@ def test_scan_range_worker_counts_agree():
     base = scan_range(Fraction(2), 3, 2000, workers=1)
     for workers in (2, 8):
         other = scan_range(Fraction(2), 3, 2000, workers=workers)
-        assert [(r.p, r.lhs.value, r.match) for r in other.records] == [
-            (r.p, r.lhs.value, r.match) for r in base.records
+        assert [(r.p, r.lhs, r.match) for r in other.records] == [
+            (r.p, r.lhs, r.match) for r in base.records
         ]
         assert other.skipped == base.skipped
 
@@ -327,15 +324,15 @@ def test_scan_report_names_the_recurrence():
     assert scan_range(Fraction(2), 3, 50).paths == ("recurrence",)
     rep = scan_range(Fraction(2), 3, 50, paths=frozenset({"proposition"}))
     assert rep.paths == ("proposition", "recurrence")
-    assert [r.lhs.value for r in rep.records] == [
-        qfib_mod_recurrence(r.p, r.data.alpha_res).value for r in rep.records
+    assert [r.lhs for r in rep.records] == [
+        qfib_mod_recurrence(r.p, r.data.alpha_res, r.p) for r in rep.records
     ]
 
 
 def test_route_disagreement_is_recorded(monkeypatch):
     real = congruence.qfib_mod_proposition
     monkeypatch.setattr(
-        congruence, "qfib_mod_proposition", lambda rd: Residue(real(rd).value + 1, rd.p)
+        congruence, "qfib_mod_proposition", lambda rd: (real(rd) + 1) % rd.p
     )
     both = frozenset({"recurrence", "proposition"})
     r = verify_theorem(Fraction(2), 13, both)

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfibcong.errors import BadValuation, DomainError, InternalInvariantViolation, NotInvertible
+from qfibcong.errors import DomainError, InternalInvariantViolation
 from qfibcong.modarith import (
-    Residue,
     euler_phi,
     factorize,
     is_prime,
@@ -100,23 +99,14 @@ def test_factorize_roundtrip(n):
     assert [p for p, _ in fac] == sorted({p for p, _ in fac})
 
 
-def test_residue_normalization():
-    assert Residue(-1, 7).value == 6
-    assert Residue(7, 7).value == 0
-    assert int(Residue(3, 7)) == 3
-    with pytest.raises(DomainError):
-        Residue(0, 1)
-
-
 def test_reduce_rational():
-    assert reduce_rational(Fraction(1, 2), 7).value == 4
-    assert reduce_rational(Fraction(2, 3), 5).value == 4
-    with pytest.raises(BadValuation) as exc:
+    assert reduce_rational(Fraction(1, 2), 7) == 4
+    assert reduce_rational(Fraction(2, 3), 5) == 4
+    assert reduce_rational(Fraction(-1, 3), 7) == 2
+    with pytest.raises(DomainError, match="^7 divides numerator of 7/3$"):
         reduce_rational(Fraction(7, 3), 7)
-    assert exc.value.sign == "positive"
-    with pytest.raises(BadValuation) as exc:
+    with pytest.raises(DomainError, match="^7 divides denominator of 3/14$"):
         reduce_rational(Fraction(3, 14), 7)
-    assert exc.value.sign == "negative"
 
 
 def test_legendre_euler_criterion():
@@ -162,9 +152,10 @@ def test_multiplicative_order_brute():
         if p == 2:
             continue
         for a in range(1, p):
-            assert multiplicative_order(Residue(a, p)) == order_brute(a, p)
-    with pytest.raises(NotInvertible):
-        multiplicative_order(Residue(0, 7))
+            assert multiplicative_order(a, p) == order_brute(a, p)
+    for a in (0, 14):
+        with pytest.raises(DomainError, match="^0 mod 7 has no order$"):
+            multiplicative_order(a, 7)
 
 
 def test_residual_index():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfibcong.errors import DomainError
-from qfibcong.modarith import Residue, lsym5, multiplicative_order
-from qfibcong.qanalogue import _context, binomial_row
+from qfibcong import modarith
+from qfibcong.modarith import lsym5, multiplicative_order
 from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
     _LOCKSTEP_MIN_BATCH,
     _UINT32_MAX_P,
+    binomial_row,
     fib,
     fib_mod,
     fib_mod_lanes,
@@ -52,36 +53,29 @@ def test_qfib_poly_recurrence():
 
 def test_qfib_mod_recurrence_examples():
     assert poly_eval_mod(qfib_poly(7), 2, 10**9 + 7) == 1135
-    assert qfib_mod_recurrence(7, Residue(2, 7)).value == 1
-    assert qfib_mod_recurrence(13, Residue(2, 13)).value == 0
+    assert qfib_mod_recurrence(7, 2, 7) == 1
+    assert qfib_mod_recurrence(13, 2, 13) == 0
     for p in (7, 13, 101):
         for n in (0, 1, 10, 40):
-            assert qfib_mod_recurrence(n, Residue(1, p)).value == fib_mod(n, p).value
+            assert qfib_mod_recurrence(n, 1, p) == fib_mod(n, p)
 
 
 def test_qfib_mod_recurrence_against_oracle():
     for p, a in ((7, 2), (13, 5), (29, 3)):
         seq = qfib_seq_mod(2 * p, a, p)
         for n in range(2 * p):
-            assert qfib_mod_recurrence(n, Residue(a, p)).value == seq[n]
-
-
-def _order(a, p):
-    return multiplicative_order(Residue(a, p))
+            assert qfib_mod_recurrence(n, a, p) == seq[n]
 
 
 def test_qfib_mod_andrews_examples():
     for p, a in ((7, 2), (11, 3), (31, 2), (31, 1)):
-        d = _order(a, p)
-        assert qfib_mod_andrews(p, Residue(a, p), d).value == poly_eval_mod(qfib_poly(p), a, p)
-    assert qfib_mod_andrews(7, Residue(2, 7), 3).value == 1
-    # the route serves n = p only, and only with the true order of alpha
-    for n in (0, 1, 6, 8, 14):
+        d = multiplicative_order(a, p)
+        assert qfib_mod_andrews(p, a, d) == poly_eval_mod(qfib_poly(p), a, p)
+    assert qfib_mod_andrews(7, 2, 3) == qfib_mod_andrews(7, 2, 3).value == 1  # .value for perfbench
+    # the route trusts d to be the order of a; it refuses a d with a**d != 1 (2 has order 3 mod 7)
+    for d in (1, 2):
         with pytest.raises(DomainError):
-            qfib_mod_andrews(n, Residue(2, 7), 3)
-    for d in (1, 2, 6):
-        with pytest.raises(DomainError):
-            qfib_mod_andrews(7, Residue(2, 7), d)
+            qfib_mod_andrews(7, 2, d)
 
 
 _ODD_PRIMES = primes_trial(20_000)[1:]
@@ -94,16 +88,15 @@ def test_qfib_mod_andrews_matches_recurrence():
         if p > 400:
             break
         for a in range(1, p):
-            alpha = Residue(a, p)
-            assert qfib_mod_andrews(p, alpha, _order(a, p)) == qfib_mod_recurrence(p, alpha), (p, a)
+            d = multiplicative_order(a, p)
+            assert qfib_mod_andrews(p, a, d) == qfib_mod_recurrence(p, a, p), (p, a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_ODD_PRIMES).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
 def test_qfib_mod_andrews_matches_recurrence_on_drawn_primes(pa):
     p, a = pa
-    alpha = Residue(a, p)
-    assert qfib_mod_andrews(p, alpha, _order(a, p)) == qfib_mod_recurrence(p, alpha)
+    assert qfib_mod_andrews(p, a, multiplicative_order(a, p)) == qfib_mod_recurrence(p, a, p)
 
 
 def test_andrews_sum_matches_recurrence_for_every_n():
@@ -138,13 +131,17 @@ def test_binomial_row():
                 binomial_row(n, p)
 
 
-def test_andrews_route_at_a_primitive_root():
-    # I = 1: the route reads the row C(1, k) and the cached order alone
+def test_andrews_route_at_a_primitive_root(monkeypatch):
+    # I = 1: the route reads the row C(1, k) and the caller's order alone; it factors nothing
     p = 140_009
-    a = next(a for a in range(2, p) if multiplicative_order(Residue(a, p)) == p - 1)
-    alpha = Residue(a, p)
-    assert qfib_mod_andrews(p, alpha, p - 1) == qfib_mod_recurrence(p, alpha)
-    assert _context(p, a) == p - 1
+    a = next(a for a in range(2, p) if multiplicative_order(a, p) == p - 1)
+    want = qfib_mod_recurrence(p, a, p)
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called by the Andrews route")
+
+    monkeypatch.setattr(modarith, "factorize", no_factoring)
+    assert qfib_mod_andrews(p, a, p - 1) == want
 
 
 def test_fib_and_fib_mod():
@@ -154,7 +151,7 @@ def test_fib_and_fib_mod():
     assert fib(10) == 55
     for p in (7, 97, 10**9 + 7):
         for n in (0, 1, 100, 12345):
-            assert fib_mod(n, p).value == fib(n) % p
+            assert fib_mod(n, p) == fib(n) % p
     with pytest.raises(DomainError):
         fib(-1)
 
@@ -172,7 +169,7 @@ def test_fib_mod_lanes_match_fib_mod():
           for _ in range(300)]
     ns = [rng.choice((0, 1, rng.randrange(2**20), rng.randrange(2**62))) for _ in ps]
     got = fib_mod_lanes(np.array(ns, dtype=np.int64), np.array(ps, dtype=np.int64))
-    assert got.tolist() == [fib_mod(k, p).value for k, p in zip(ns, ps)]
+    assert got.tolist() == [fib_mod(k, p) for k, p in zip(ns, ps)]
 
 
 def test_g_value_small_table():
@@ -218,11 +215,10 @@ def test_g_value_matches_recurrence_ground_truth():
         if p == 2:
             continue
         for a in range(2, p):
-            alpha = Residue(a, p)
-            d = multiplicative_order(alpha)
+            d = multiplicative_order(a, p)
             if d % 5 == 0:
                 continue
-            assert g_value((p - 1) // d, d) % p == qfib_mod_recurrence(p, alpha).value
+            assert g_value((p - 1) // d, d) % p == qfib_mod_recurrence(p, a, p)
 
 
 def test_g_value_period_five_symmetry():
@@ -253,7 +249,7 @@ def test_recurrence_kernel_on_both_sides_of_the_lockstep_threshold():
     batches += [[3] + odd[-k:] for k in (m - 2, m - 1)]  # 3 and 2999 far apart
     for ps in batches:
         avals = [rng.randrange(2, p) for p in ps]
-        expected = [qfib_mod_recurrence(p, Residue(a, p)).value for p, a in zip(ps, avals)]
+        expected = [qfib_mod_recurrence(p, a, p) for p, a in zip(ps, avals)]
         assert qfib_mod_recurrence_many(ps, avals) == expected, ps
     with pytest.raises(DomainError):
         qfib_mod_recurrence_many(odd[:m][::-1], [2] * m)
@@ -275,7 +271,7 @@ def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
     rng = random.Random(15)
     # alpha = p - 1 makes PW*A = (p - 1)**2, which wraps in uint32 at p = 65,537
     alphas = {p: p - 1 if p == 65_537 or rng.random() < 0.5 else rng.randrange(2, p - 1) for p in odd}
-    expected = {p: qfib_mod_recurrence(p, Residue(a, p)).value for p, a in alphas.items()}
+    expected = {p: qfib_mod_recurrence(p, a, p) for p, a in alphas.items()}
     m = _LOCKSTEP_MIN_BATCH
     for lo in (m - 1, m, m + 1):
         for hi in (m - 1, m, m + 1):

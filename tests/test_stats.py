@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qfibcong.congruence import predicted_index, residual_data
-from qfibcong import congruence, qanalogue, qfib, stats
+from qfibcong import congruence, qfib, stats
 from qfibcong.errors import DomainError, TheoremViolation
 from qfibcong.modarith import primes_upto
 from qfibcong.stats import occurrence_histogram, value_key
@@ -92,7 +92,7 @@ def test_histogram_reads_no_binomial_row_and_no_scalar_fib_mod(monkeypatch):
     def refuse(*args):
         raise AssertionError("stats checked a prime one at a time")
 
-    for module in (stats, congruence, qfib, qanalogue):
+    for module in (stats, congruence, qfib):
         for name in ("fib_mod", "binomial_row"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
