@@ -14,6 +14,7 @@ from operator import add
 import numpy as np
 
 from .errors import DomainError
+from .qanalogue import _context
 
 _QFIB_POLYS: list[tuple[int, ...]] = [(), (1,)]
 
@@ -139,11 +140,10 @@ def qfib_mod_andrews(p: int, a: int, d: int) -> RouteValue:
     with t = p - 1 - 2kd, m = kd exactly when t mod 5 is 0 or 1, and then j = t // 5.
     That is O(I) terms; exponents are reduced mod p - 1 since a**(p-1) = 1.
 
-    The caller's d is trusted to be the order, as the residual data gives it.  The route
-    checks only, in O(log p), that d divides p - 1 and that a**d = 1, and raises
-    DomainError otherwise; a proper multiple of the order passes and gives a wrong value.
+    The caller passes d, as the residual data gives it; the route factors d, not p - 1,
+    to check that d is exactly the order of a, and raises DomainError otherwise.
     """
-    if not (0 < d and (p - 1) % d == 0 and pow(a, d, p) == 1):
+    if not _context(p, a, d):
         raise DomainError(f"d = {d} is not the order of {a} mod {p}")
     total = 0
     for k, comb in enumerate(binomial_row((p - 1) // d, p)):

@@ -2,7 +2,7 @@ import csv
 import json
 from fractions import Fraction
 
-from qfibcong import cli, congruence, density, modarith, report, stats
+from qfibcong import cli, congruence, density, modarith, qanalogue, report, stats
 from qfibcong.cli import main
 from qfibcong.modarith import lsym5
 from qfibcong.qfib import POLY_MAX_N, RECURRENCE_MAX_P, fib_mod
@@ -133,7 +133,7 @@ def test_window_paths_find_no_order_one_prime_at_a_time(capsys, monkeypatch, tmp
         raise AssertionError("an order was found one prime at a time")
 
     for module, name in ((modarith, "factorize"), (modarith, "multiplicative_order"),
-                         (congruence, "multiplicative_order")):
+                         (congruence, "multiplicative_order"), (qanalogue, "factorize")):
         monkeypatch.setattr(module, name, refuse)
     scan, hist = tmp_path / "scan.json", tmp_path / "stats.json"
     assert run(capsys, "scan", "--alpha", "3/2", "--pmax", "3000", "--out", str(scan))[0] == 0

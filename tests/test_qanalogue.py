@@ -4,6 +4,7 @@ import pytest
 
 from qfibcong.errors import DomainError
 from qfibcong.modarith import multiplicative_order
+from qfibcong.qanalogue import _context
 from qfibcong.qfib import qfib_mod_andrews
 
 from _oracles import (
@@ -38,6 +39,16 @@ def test_q_binomial_mod_requires_true_order():
     # the Andrews route reduces its q-binomials base d, so it refuses a d that does not divide p - 1
     with pytest.raises(DomainError):
         qfib_mod_andrews(7, 2, 4)
+
+
+def test_order_check_accepts_the_order_alone():
+    # among the divisors of p - 1, the Andrews route's check passes only the order itself
+    for p in primes_trial(60)[1:]:
+        for a in range(1, p):
+            d = multiplicative_order(a, p)
+            for e in range(1, p):
+                if (p - 1) % e == 0:
+                    assert _context(p, a, e) == (e == d), (p, a, e)
 
 
 def test_q_binomial_mod_row_p_minus_1():

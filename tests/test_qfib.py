@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfibcong.errors import DomainError
-from qfibcong import modarith
 from qfibcong.modarith import lsym5, multiplicative_order
 from qfibcong.qfib import (
     POLY_MAX_N,
@@ -72,8 +71,8 @@ def test_qfib_mod_andrews_examples():
         d = multiplicative_order(a, p)
         assert qfib_mod_andrews(p, a, d) == poly_eval_mod(qfib_poly(p), a, p)
     assert qfib_mod_andrews(7, 2, 3) == qfib_mod_andrews(7, 2, 3).value == 1  # .value for perfbench
-    # the route trusts d to be the order of a; it refuses a d with a**d != 1 (2 has order 3 mod 7)
-    for d in (1, 2):
+    # the route takes only the true order of a: 2 has order 3 mod 7, and 6 is a multiple of it
+    for d in (1, 2, 6):
         with pytest.raises(DomainError):
             qfib_mod_andrews(7, 2, d)
 
@@ -131,17 +130,14 @@ def test_binomial_row():
                 binomial_row(n, p)
 
 
-def test_andrews_route_at_a_primitive_root(monkeypatch):
-    # I = 1: the route reads the row C(1, k) and the caller's order alone; it factors nothing
+def test_andrews_route_at_a_primitive_root():
+    # I = 1: the route reads the row C(1, k) and the caller's order, and it refuses d = p - 1
+    # for a unit that is not a primitive root, though a**(p - 1) = 1 for every unit
     p = 140_009
     a = next(a for a in range(2, p) if multiplicative_order(a, p) == p - 1)
-    want = qfib_mod_recurrence(p, a, p)
-
-    def no_factoring(n):
-        raise AssertionError(f"factorize({n}) called by the Andrews route")
-
-    monkeypatch.setattr(modarith, "factorize", no_factoring)
-    assert qfib_mod_andrews(p, a, p - 1) == want
+    assert qfib_mod_andrews(p, a, p - 1) == qfib_mod_recurrence(p, a, p)
+    with pytest.raises(DomainError):
+        qfib_mod_andrews(p, a * a % p, p - 1)
 
 
 def test_fib_and_fib_mod():
