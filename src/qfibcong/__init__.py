@@ -40,11 +40,9 @@ from .modarith import (
     is_prime,
     kronecker,
     lsym5,
-    moebius,
     multiplicative_order,
     prime_sieve,
     reduce_rational,
-    residual_index,
 )
 from .qfib import (
     fib,
@@ -80,7 +78,6 @@ __all__ = [
     "is_prime",
     "kronecker",
     "lsym5",
-    "moebius",
     "multiplicative_order",
     "occurrence_histogram",
     "predicted_index",
@@ -91,7 +88,6 @@ __all__ = [
     "qfib_poly",
     "reduce_rational",
     "residual_data",
-    "residual_index",
     "scan_range",
     "v_count",
     "verify_theorem",

@@ -27,14 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InternalInvariantViolation
-from .modarith import (
-    is_prime,
-    lsym5,
-    multiplicative_order,
-    prime_sieve,
-    primes_upto,
-    residual_index,
-)
+from .modarith import is_prime, lsym5, multiplicative_order, prime_sieve, primes_upto
 from .qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
@@ -118,7 +111,15 @@ def residual_data(alpha: Fraction, p: int) -> ResidualData:
     alpha = _require_alpha(alpha)
     if p == 2 or not is_prime(p):
         raise DomainError(f"p must be an odd prime, got {p}")
-    return _residual_data(alpha, p)
+    num, den = alpha.numerator, alpha.denominator
+    if num % p == 0 or den % p == 0:
+        return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA)
+    if (num - den) % p == 0:  # alpha - 1 = (num - den)/den in lowest terms
+        return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA_MINUS_1)
+    a = num * pow(den, -1, p) % p
+    d = multiplicative_order(a, p)
+    reason = Reason.ORD_DIVISIBLE_BY_5 if d % 5 == 0 else Reason.OK
+    return ResidualData(alpha, p, a, d, (p - 1) // d, lsym5(d), reason)
 
 
 def _require_alpha(alpha: Fraction) -> Fraction:
@@ -130,20 +131,6 @@ def _require_alpha(alpha: Fraction) -> Fraction:
     except ValueError:
         raise DomainError("alpha's numerator or denominator is past int()'s digit limit") from None
     return alpha
-
-
-def _residual_data(alpha: Fraction, p: int) -> ResidualData:
-    """residual_data for an alpha outside {0, 1} and a p the caller knows is an odd prime."""
-    num, den = alpha.numerator, alpha.denominator
-    if num % p == 0 or den % p == 0:
-        return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA)
-    if (num - den) % p == 0:  # alpha - 1 = (num - den)/den in lowest terms
-        return ResidualData(alpha, p, None, 0, 0, 0, Reason.BAD_VALUATION_ALPHA_MINUS_1)
-    a = num * pow(den, -1, p) % p
-    d = multiplicative_order(a, p)
-    idx = residual_index(p, d)
-    reason = Reason.ORD_DIVISIBLE_BY_5 if d % 5 == 0 else Reason.OK
-    return ResidualData(alpha, p, a, d, idx, lsym5(d), reason)
 
 
 def predicted_index(rd: ResidualData) -> int:
@@ -247,7 +234,7 @@ def residual_window(alpha: Fraction,
 
     Returns the columns (p, alpha mod p, ord, index, lsym) of the applicable
     primes, in the block's order, and the other primes counted by reason.
-    Each row equals what _residual_data gives its prime.
+    Each row equals what residual_data gives its prime.
     """
     p = np.array(primes, dtype=np.int64)
     num, den = residues(alpha.numerator, p), residues(alpha.denominator, p)
@@ -262,15 +249,6 @@ def residual_window(alpha: Fraction,
                Reason.ORD_DIVISIBLE_BY_5.value: int(ok.size - ok.sum())}
     p, a, d = p[ok], a[ok], d[ok]
     return (p, a, d, (p - 1) // d, _LSYM5[d % 5]), skipped
-
-
-def applicable_data(alpha: Fraction,
-                    blocks: Iterable[tuple[np.ndarray, ...]]) -> list[ResidualData]:
-    """The residual data of applicable primes given as blocks of columns
-    (p, alpha mod p, ord, index, lsym), as residual_window returns them."""
-    return [ResidualData(alpha, p, a, d, index, lsym, Reason.OK)
-            for columns in blocks
-            for p, a, d, index, lsym in zip(*(column.tolist() for column in columns))]
 
 
 _INV_2D = np.array([0] + [pow(2 * r, -1, 5) for r in range(1, 5)])  # (2d)**-1 mod 5, by d mod 5
@@ -356,7 +334,7 @@ def qfib_mod_proposition(rd: ResidualData) -> RouteValue:
     """F_p(alpha) mod p from the two S-set binomial sums (see proposition_values)."""
     if not rd.applicable:
         raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
-    if rd.p > RECURRENCE_MAX_P:
+    if rd.p > RECURRENCE_MAX_P:  # before the lanes, which cannot hold a p of 2**63 or more
         raise DomainError(f"int64 lanes need p <= {RECURRENCE_MAX_P}, got {rd.p}")
     lane = [np.array([v], dtype=np.int64) for v in (rd.p, rd.alpha_res, rd.ord, rd.index)]
     return RouteValue(proposition_values(*lane)[0])
@@ -405,29 +383,38 @@ _CROSS_CHECKS = {
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
 
 
-def make_record(rd: ResidualData, lhs: int, paths: frozenset[str]) -> CongruenceRecord:
-    """The record of one applicable pair whose F_p(alpha) mod p is lhs, in [0, p); every
-    other requested route is evaluated and only decides whether the routes agree."""
-    values = {lhs, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
-    n_star = predicted_index(rd)
-    rhs = fib_mod(n_star, rd.p)
-    return CongruenceRecord(data=rd, lhs=lhs, predicted_index=n_star, rhs=rhs,
-                            match=lhs == rhs, paths_agree=len(values) == 1)
-
-
-def build_records(rds: Iterable[ResidualData], paths: frozenset[str]) -> list[CongruenceRecord]:
+def build_records(rds: Iterable[ResidualData], paths: frozenset[str],
+                  lhs: dict[int, int] | None = None) -> list[CongruenceRecord]:
     """One record per applicable pair, in the given order.
 
-    The recurrence, the ground truth, runs as one batch over all the pairs
-    and gives each record's left side.
+    A pair's left side, F_p(alpha) mod p in [0, p), is lhs[p] where lhs has
+    p; the recurrence, the ground truth, runs as one batch over the other
+    pairs, and not at all when none is left.  Every other requested route
+    is evaluated and only decides whether the routes agree.
     """
-    rds = list(rds)
-    lhs_values = qfib_mod_recurrence_many([rd.p for rd in rds], [rd.alpha_res for rd in rds])
-    return [make_record(rd, lhs, paths) for rd, lhs in zip(rds, lhs_values)]
+    rds, lhs = list(rds), lhs or {}
+    missing = [rd for rd in rds if rd.p not in lhs]
+    computed = iter(qfib_mod_recurrence_many([rd.p for rd in missing],
+                                             [rd.alpha_res for rd in missing]) if missing else ())
+    records = []
+    for rd in rds:
+        left = lhs[rd.p] if rd.p in lhs else next(computed)
+        values = {left, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
+        n_star = predicted_index(rd)
+        rhs = fib_mod(n_star, rd.p)
+        records.append(CongruenceRecord(data=rd, lhs=left, predicted_index=n_star, rhs=rhs,
+                                        match=left == rhs, paths_agree=len(values) == 1))
+    return records
 
 
-def _scan_chunk(blocks, alpha: Fraction, paths: frozenset[str]) -> list[CongruenceRecord]:
-    return build_records(applicable_data(alpha, blocks), paths)
+def record_chunk(blocks, alpha: Fraction, paths: frozenset[str],
+                 lhs: dict[int, int] | None = None) -> list[CongruenceRecord]:
+    """A chunk's records, from its blocks of columns (p, alpha mod p, ord, index, lsym)
+    as residual_window returns them; lhs is as build_records takes it."""
+    rds = [ResidualData(alpha, p, a, d, index, lsym, Reason.OK)
+           for columns in blocks
+           for p, a, d, index, lsym in zip(*(column.tolist() for column in columns))]
+    return build_records(rds, paths, lhs)
 
 
 def _window_blocks(alpha: Fraction, primes: Sequence[int],
@@ -516,6 +503,6 @@ def scan_range(
     so the output is identical for any worker count.
     """
     alpha, paths = scan_request(alpha, p_min, p_max, paths)
-    parts, skipped = run_chunks(_scan_chunk, alpha, p_min, p_max, workers, alpha, paths)
+    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, workers, alpha, paths)
     records = sorted((r for records in parts for r in records), key=lambda r: r.p)
     return ScanReport(alpha, p_min, p_max, tuple(sorted(paths)), records, skipped)

@@ -27,7 +27,10 @@ def _require_base(g: int) -> None:
 
 
 def require_x_bound(x: int, caller: str) -> None:
-    """Refuse a window past RECURRENCE_MAX_P, beyond which the int64 order kernel would wrap."""
+    """Refuse a window below 2, or past RECURRENCE_MAX_P, beyond which the int64 order
+    kernel would wrap."""
+    if x < 2:
+        raise DomainError(f"{caller} needs x >= 2, got {x}")
     if x > RECURRENCE_MAX_P:
         raise DomainError(f"{caller} needs x <= {RECURRENCE_MAX_P}, got {x}")
 
@@ -199,8 +202,6 @@ def v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
     """Sieve, keep the primes of the arithmetic progression, then filter them on the
     residual index, block by block."""
     _require_base(g)
-    if x < 2:
-        raise DomainError(f"v_count needs x >= 2, got {x}")
     require_x_bound(x, "v_count")
     if t < 1 or d < 1:
         raise DomainError(f"need t, d >= 1, got t={t}, d={d}")

@@ -1,8 +1,8 @@
 """Modular and multiplicative arithmetic over prime fields.
 
 Primes, factorization, the residue of a rational, multiplicative orders,
-residual indices, and the two quadratic-residue symbols the rest of the
-library needs.  All functions are pure; a residue mod p is a plain int in [0, p).
+Euler's phi, square-freeness and the two quadratic-residue symbols the
+rest of the library needs.  All functions are pure; a residue mod p is a plain int in [0, p).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError
 
 Factorization = list[tuple[int, int]]
 
@@ -183,13 +183,6 @@ def multiplicative_order(a: int, p: int) -> int:
     return d
 
 
-def residual_index(p: int, ord_: int) -> int:
-    """(p - 1) / ord, the index of the subgroup generated by the element."""
-    if ord_ <= 0 or (p - 1) % ord_ != 0:
-        raise InternalInvariantViolation(f"order {ord_} does not divide {p} - 1")
-    return (p - 1) // ord_
-
-
 def euler_phi(n: int) -> int:
     if n < 1:
         raise DomainError(f"euler_phi needs n >= 1, got {n}")
@@ -197,15 +190,6 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         out *= (p - 1) * p ** (e - 1)
     return out
-
-
-def moebius(n: int) -> int:
-    if n < 1:
-        raise DomainError(f"moebius needs n >= 1, got {n}")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def is_squarefree(n: int) -> bool:

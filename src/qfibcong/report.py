@@ -16,15 +16,7 @@ import tempfile
 from fractions import Fraction
 from typing import Any
 
-from .congruence import (
-    CongruenceRecord,
-    ScanReport,
-    applicable_data,
-    build_records,
-    make_record,
-    run_chunks,
-    scan_request,
-)
+from .congruence import CongruenceRecord, ScanReport, record_chunk, run_chunks, scan_request
 from .density import delta_truncated, require_x_bound, v_count
 from .errors import DomainError
 from .stats import occurrence_histogram
@@ -149,9 +141,12 @@ def write_csv(rep: ScanReport, path: str) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read by setting it back
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # open(path, "w")'s mode, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -231,22 +226,12 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
     # a string longer than str(p) is no residue, and could pass int()'s digit limit
     lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("lhs", "").isdecimal()
            and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
-    parts, skipped = run_chunks(_rebuild_records, alpha, p_min, p_max, 1, alpha, lhs, paths)
+    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, 1, alpha, paths, lhs)
     rebuilt = scan_report_dict(ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),
                                           [r for part in parts for r in part], skipped))
     return (_compare(payload, rebuilt, "records", "p", "an applicable prime of the window")
             + [f"record {i}: the evaluation routes disagree"
                for i, r in enumerate(records) if r.get("paths_agree") is not True])
-
-
-def _rebuild_records(blocks, alpha: Fraction, lhs: dict[int, int],
-                     paths: frozenset[str]) -> list[CongruenceRecord]:
-    """A chunk's records, with the recurrence's lhs for the primes that lhs lacks;
-    the recurrence does not run when no prime lacks one."""
-    rds = applicable_data(alpha, blocks)
-    missing = [rd for rd in rds if rd.p not in lhs]
-    computed = iter(build_records(missing, paths) if missing else ())
-    return [make_record(rd, lhs[rd.p], paths) if rd.p in lhs else next(computed) for rd in rds]
 
 
 def _compare(payload: dict[str, Any], rebuilt: dict[str, Any], items: str = "", key: str = "",

@@ -84,8 +84,6 @@ def occurrence_histogram(
     gives the bucket's cap smallest primes for any worker count.
     """
     _require_base(g)
-    if x < 2:
-        raise DomainError(f"occurrence_histogram needs x >= 2, got {x}")
     require_x_bound(x, "occurrence_histogram")
     if witness_cap < 0:
         raise DomainError(f"occurrence_histogram needs witness_cap >= 0, got {witness_cap}")

@@ -105,6 +105,20 @@ def phi_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def moebius(n: int) -> int:
+    """The Moebius function of n >= 1 by trial division: 0 if a square divides n, else
+    (-1)**(the number of its prime factors)."""
+    mu, q = 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            n //= q
+            if n % q == 0:
+                return 0
+            mu = -mu
+        q += 1
+    return -mu if n > 1 else mu
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) by Euler's criterion, p an odd prime."""
     if p == 2 or not is_prime(p):

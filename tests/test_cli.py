@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 from fractions import Fraction
 
 from qfibcong import cli, congruence, density, modarith, qanalogue, report, stats
@@ -80,7 +82,7 @@ def test_verify_exit_codes(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("residual data computed before the alpha check")
 
-    monkeypatch.setattr(congruence, "_residual_data", no_work)
+    monkeypatch.setattr(congruence, "multiplicative_order", no_work)
     code, out, err = run(capsys, "verify", "--alpha", "1e5000", "--p", "7")
     assert code == 2 and out == "" and "digit limit" in err
     # an unknown route is a usage error even at a prime where the pair is inapplicable
@@ -121,11 +123,11 @@ def test_windows_past_the_order_kernel_bound_are_refused_before_any_work(capsys,
     monkeypatch.setattr(stats, "run_chunks", no_work)
     monkeypatch.setattr(density, "delta_truncated", no_work)
     monkeypatch.setattr(density, "primes_upto", no_work)
-    x = str(RECURRENCE_MAX_P + 1)
-    for argv, caller in ((("stats", "--g", "2", "--x", x), "occurrence_histogram"),
-                         (("density", "--g", "2", "--t", "11", "--empirical-x", x), "v_count")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and f"{caller} needs x <= 3037000500, got {x}" in err
+    for x, refusal in ((str(RECURRENCE_MAX_P + 1), "<= 3037000500"), ("1", ">= 2")):
+        for argv, caller in ((("stats", "--g", "2", "--x", x), "occurrence_histogram"),
+                             (("density", "--g", "2", "--t", "11", "--empirical-x", x), "v_count")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and f"{caller} needs x {refusal}, got {x}" in err
 
 
 def test_window_paths_find_no_order_one_prime_at_a_time(capsys, monkeypatch, tmp_path):
@@ -214,6 +216,20 @@ def test_scan_writes_reports(capsys, tmp_path):
         rows = list(csv.DictReader(fh))
     assert [int(r["p"]) for r in rows] == [3, 5, 7, 13, 17, 19]
     assert all(r["match"] == "True" for r in rows)
+
+
+def test_reports_take_the_mode_that_the_umask_gives(capsys, tmp_path):
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    out_json.write_text("")
+    out_json.chmod(0o600)  # a rewritten report takes the umask's mode too
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "scan", "--alpha", "2", "--pmax", "50",
+                         "--out", str(out_json), "--csv", str(out_csv))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert [stat.S_IMODE(path.stat().st_mode) for path in (out_json, out_csv)] == [0o644, 0o644]
 
 
 def test_scan_deterministic_across_workers(capsys, tmp_path):

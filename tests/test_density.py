@@ -14,7 +14,9 @@ from qfibcong.density import (
     v_count,
 )
 from qfibcong.errors import DomainError
-from qfibcong.modarith import euler_phi, is_squarefree, kronecker, moebius, primes_upto
+from qfibcong.modarith import euler_phi, is_squarefree, kronecker, primes_upto
+
+from _oracles import moebius
 
 SQUAREFREE = [g for g in range(2, 60) if is_squarefree(g)]
 

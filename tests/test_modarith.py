@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qfibcong.errors import DomainError, InternalInvariantViolation
+from qfibcong.errors import DomainError
 from qfibcong.modarith import (
     euler_phi,
     factorize,
@@ -13,15 +13,13 @@ from qfibcong.modarith import (
     is_squarefree,
     kronecker,
     lsym5,
-    moebius,
     multiplicative_order,
     prime_sieve,
     primes_upto,
     reduce_rational,
-    residual_index,
 )
 
-from _oracles import legendre, order_brute, phi_brute, primes_trial
+from _oracles import legendre, moebius, order_brute, phi_brute, primes_trial
 
 
 def test_prime_sieve_matches_trial_division():
@@ -156,13 +154,6 @@ def test_multiplicative_order_brute():
     for a in (0, 14):
         with pytest.raises(DomainError, match="^0 mod 7 has no order$"):
             multiplicative_order(a, 7)
-
-
-def test_residual_index():
-    assert residual_index(7, 3) == 2
-    assert residual_index(11, 10) == 1
-    with pytest.raises(InternalInvariantViolation):
-        residual_index(11, 4)
 
 
 def test_euler_phi_brute():
