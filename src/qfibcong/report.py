@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from fractions import Fraction
 from typing import Any
 
@@ -140,13 +139,11 @@ def write_csv(rep: ScanReport, path: str) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # read by setting it back
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}.part")
+    # 0o666 under the umask, as open(path, "w") gives; mkstemp's 0600 would outlive the rename
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)  # open(path, "w")'s mode, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
