@@ -20,7 +20,7 @@ import enum
 import math
 import multiprocessing
 import os
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,15 +28,8 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantViolation
 from .modarith import is_prime, lsym5, multiplicative_order, prime_sieve, primes_upto
-from .qfib import (
-    POLY_MAX_N,
-    RECURRENCE_MAX_P,
-    RouteValue,
-    fib_mod,
-    qfib_mod_andrews,
-    qfib_mod_recurrence_many,
-    qfib_poly,
-)
+from .qfib import (POLY_MAX_N, RECURRENCE_MAX_P, RouteValue, fib_mod_lanes, qfib_mod_andrews,
+                   qfib_mod_recurrence_many, qfib_polys)
 
 DEFAULT_PATHS = frozenset({"recurrence"})
 
@@ -330,24 +323,28 @@ def proposition_values(p: np.ndarray, a: np.ndarray, d: np.ndarray,
     return ((p - euler) * sum2 % p + s1) % p  # S2's term is -(a/p) * sum2
 
 
+def _lane(rd: ResidualData) -> list[np.ndarray]:
+    """An applicable pair as one lane of the columns (p, alpha mod p, ord, index, lsym)."""
+    return [np.array([v], dtype=np.int64)
+            for v in (rd.p, rd.alpha_res, rd.ord, rd.index, rd.lsym_ord)]
+
+
 def qfib_mod_proposition(rd: ResidualData) -> RouteValue:
     """F_p(alpha) mod p from the two S-set binomial sums (see proposition_values)."""
     if not rd.applicable:
         raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
     if rd.p > RECURRENCE_MAX_P:  # before the lanes, which cannot hold a p of 2**63 or more
         raise DomainError(f"int64 lanes need p <= {RECURRENCE_MAX_P}, got {rd.p}")
-    lane = [np.array([v], dtype=np.int64) for v in (rd.p, rd.alpha_res, rd.ord, rd.index)]
-    return RouteValue(proposition_values(*lane)[0])
+    return RouteValue(proposition_values(*_lane(rd)[:4])[0])
 
 
-def verify_theorem(
-    alpha: Fraction, p: int, paths: frozenset[str] = DEFAULT_PATHS
-) -> CongruenceRecord | ResidualData:
+def verify_theorem(alpha: Fraction, p: int,
+                   paths: frozenset[str] = DEFAULT_PATHS) -> CongruenceRecord | ResidualData:
     """Check the congruence at one prime; optionally cross-check extra paths.  An
     inapplicable pair returns its residual data, whose reason says why."""
     _check_request(paths, p)
     rd = residual_data(alpha, p)
-    return build_records([rd], paths)[0] if rd.applicable else rd
+    return record_chunk([_lane(rd)], rd.alpha, paths)[0] if rd.applicable else rd
 
 
 def _check_request(paths: frozenset[str], p_max: int) -> None:
@@ -365,56 +362,52 @@ def _check_request(paths: frozenset[str], p_max: int) -> None:
         raise DomainError(f"the poly route needs p <= {POLY_MAX_N}, got {p_max}")
 
 
-def _poly_route(rd: ResidualData) -> int:
-    """F_p(alpha) mod p by Horner's rule on the exact coefficients of F_p(q)."""
-    acc = 0
-    for c in reversed(qfib_poly(rd.p)):
-        acc = (acc * rd.alpha_res + c) % rd.p
-    return acc
+def _andrews_values(p: np.ndarray, a: np.ndarray, d: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """F_p(alpha) mod p by Andrews' sum (qfib_mod_andrews), prime by prime."""
+    return np.fromiter(map(qfib_mod_andrews, p.tolist(), a.tolist(), d.tolist()), np.int64, p.size)
 
 
-# Routes that cross-check the recurrence, each mapping residual data to F_p(alpha) mod p.
-# Each name is looked up at call time, so a wrapper or patch bound to it later is used.
-_CROSS_CHECKS = {
-    "andrews": lambda rd: qfib_mod_andrews(rd.p, rd.alpha_res, rd.ord),
-    "proposition": lambda rd: qfib_mod_proposition(rd),
-    "poly": _poly_route,
-}
+def _poly_values(p: np.ndarray, a: np.ndarray, d: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """F_p(alpha) mod p by Horner's rule on F_p(q), walking F_0, F_1, ... once to the largest p."""
+    alpha_res, values = dict(zip(p.tolist(), a.tolist())), {}
+    for n, coeffs in zip(range(max(alpha_res, default=-1) + 1), qfib_polys()):
+        if n in alpha_res:
+            values[n] = 0
+            for c in reversed(coeffs):
+                values[n] = (values[n] * alpha_res[n] + c) % n
+    return np.array([values[q] for q in p.tolist()], dtype=np.int64)
+
+
+# Routes that cross-check the recurrence: columns (p, alpha mod p, ord, index) to F_p(alpha) mod p.
+_CROSS_CHECKS = {"andrews": _andrews_values, "proposition": proposition_values,
+                 "poly": _poly_values}
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
-
-
-def build_records(rds: Iterable[ResidualData], paths: frozenset[str],
-                  lhs: dict[int, int] | None = None) -> list[CongruenceRecord]:
-    """One record per applicable pair, in the given order.
-
-    A pair's left side, F_p(alpha) mod p in [0, p), is lhs[p] where lhs has
-    p; the recurrence, the ground truth, runs as one batch over the other
-    pairs, and not at all when none is left.  Every other requested route
-    is evaluated and only decides whether the routes agree.
-    """
-    rds, lhs = list(rds), lhs or {}
-    missing = [rd for rd in rds if rd.p not in lhs]
-    computed = iter(qfib_mod_recurrence_many([rd.p for rd in missing],
-                                             [rd.alpha_res for rd in missing]) if missing else ())
-    records = []
-    for rd in rds:
-        left = lhs[rd.p] if rd.p in lhs else next(computed)
-        values = {left, *(route(rd) for name, route in _CROSS_CHECKS.items() if name in paths)}
-        n_star = predicted_index(rd)
-        rhs = fib_mod(n_star, rd.p)
-        records.append(CongruenceRecord(data=rd, lhs=left, predicted_index=n_star, rhs=rhs,
-                                        match=left == rhs, paths_agree=len(values) == 1))
-    return records
 
 
 def record_chunk(blocks, alpha: Fraction, paths: frozenset[str],
                  lhs: dict[int, int] | None = None) -> list[CongruenceRecord]:
-    """A chunk's records, from its blocks of columns (p, alpha mod p, ord, index, lsym)
-    as residual_window returns them; lhs is as build_records takes it."""
-    rds = [ResidualData(alpha, p, a, d, index, lsym, Reason.OK)
-           for columns in blocks
-           for p, a, d, index, lsym in zip(*(column.tolist() for column in columns))]
-    return build_records(rds, paths, lhs)
+    """One record per applicable prime of a chunk, in its order, from its blocks of columns
+    (p, alpha mod p, ord, index, lsym) as residual_window returns them.
+
+    A prime's left side, F_p(alpha) mod p in [0, p), is lhs[p] where lhs has p; the
+    recurrence, the ground truth, runs as one batch over the other primes, and not at all
+    when none is left.  Each other requested route only decides whether the routes agree.
+    """
+    p, a, d, index, lsym = (np.concatenate(column) for column in zip(*blocks))
+    lhs, primes = lhs or {}, p.tolist()
+    left = np.array([lhs.get(q, -1) for q in primes], dtype=np.int64)
+    if (missing := left < 0).any():
+        left[missing] = qfib_mod_recurrence_many(p[missing].tolist(), a[missing].tolist())
+    agree = np.ones(p.size, dtype=bool)
+    for name in sorted(paths & _CROSS_CHECKS.keys()):
+        agree &= _CROSS_CHECKS[name](p, a, d, index) == left
+    if ((n_star := index + lsym) < 0).any():
+        raise InternalInvariantViolation("predicted index must be non-negative")
+    rhs = fib_mod_lanes(n_star, p)
+    columns = (c.tolist() for c in (a, d, index, lsym, left, n_star, rhs, agree))
+    return [CongruenceRecord(ResidualData(alpha, q, res, o, i, s, Reason.OK), lhs=x,
+                             predicted_index=n, rhs=y, match=x == y, paths_agree=ok)
+            for q, res, o, i, s, x, n, y, ok in zip(primes, *columns)]
 
 
 def _window_blocks(alpha: Fraction, primes: Sequence[int],

@@ -200,8 +200,9 @@ def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
 def _check_scan(payload: dict[str, Any]) -> list[str]:
     """Rebuild a scan report by the calls scan makes, and list where it differs.
 
-    A record is rebuilt with the report's own lhs where that is a residue of
-    p; the recurrence runs only for the window's other applicable primes.
+    A record is rebuilt with the report's own lhs where that is a residue of p and the
+    record claims a match and agreeing routes; the recurrence runs for the window's
+    other applicable primes, a claimed mismatch or disagreement included.
     """
     records = payload.get("records", [])
     meta = payload.get("metadata", {})
@@ -221,7 +222,8 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
     except DomainError as exc:
         return [f"cannot rebuild: {exc}"]
     # a string longer than str(p) is no residue, and could pass int()'s digit limit
-    lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("lhs", "").isdecimal()
+    lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("match") is True
+           and r.get("paths_agree") is True and r.get("lhs", "").isdecimal()
            and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
     parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, 1, alpha, paths, lhs)
     rebuilt = scan_report_dict(ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),

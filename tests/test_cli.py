@@ -144,6 +144,26 @@ def test_window_paths_find_no_order_one_prime_at_a_time(capsys, monkeypatch, tmp
     assert density.v_count(2, 1, 5, 11, 20000).count > 0
 
 
+def test_check_recomputes_a_claimed_counterexample(capsys, tmp_path):
+    # record 3 made a counterexample to the congruence: its lhs moved off the right
+    # side, its match set false and one count moved in the summary to suit
+    path = tmp_path / "r.json"
+    run(capsys, "scan", "--alpha", "2", "--pmax", "2000", "--out", str(path))
+    payload = json.loads(path.read_text())
+    record = payload["records"][3]
+    record["lhs"] = str((int(record["lhs"]) + 1) % record["p"])
+    record["match"] = False
+    payload["summary"]["matched"] -= 1
+    payload["summary"]["mismatched"] += 1
+    path.write_text(json.dumps(payload))
+    assert check_report(str(path)) == [
+        "record 3 differs from the rebuild in lhs, match",
+        "summary differs from the rebuild in matched, mismatched",
+    ]
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == "" and "record 3" in err
+
+
 def test_checking_a_complete_scan_report_runs_no_recurrence(capsys, monkeypatch, tmp_path):
     path = tmp_path / "scan.json"
     assert run(capsys, "scan", "--alpha", "3/2", "--pmax", "3000", "--out", str(path))[0] == 0
@@ -184,9 +204,9 @@ def test_exact_polynomial_route_is_bounded(capsys):
 
 
 def test_route_disagreement_fails(capsys, monkeypatch, tmp_path):
-    real = congruence.qfib_mod_proposition
-    monkeypatch.setattr(
-        congruence, "qfib_mod_proposition", lambda rd: (real(rd) + 1) % rd.p
+    real = congruence._CROSS_CHECKS["proposition"]
+    monkeypatch.setitem(
+        congruence._CROSS_CHECKS, "proposition", lambda p, *args: (real(p, *args) + 1) % p
     )
     code, out, err = run(capsys, "verify", "--alpha", "2", "--p", "13",
                          "--paths", "recurrence,proposition")

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qfibcong import congruence
+import qfibcong
+from qfibcong import congruence, qfib
 from qfibcong.congruence import (
     ALL_PATHS,
     Reason,
@@ -329,9 +333,9 @@ def test_scan_report_names_the_recurrence():
 
 
 def test_route_disagreement_is_recorded(monkeypatch):
-    real = congruence.qfib_mod_proposition
-    monkeypatch.setattr(
-        congruence, "qfib_mod_proposition", lambda rd: (real(rd) + 1) % rd.p
+    real = congruence._CROSS_CHECKS["proposition"]
+    monkeypatch.setitem(
+        congruence._CROSS_CHECKS, "proposition", lambda p, *args: (real(p, *args) + 1) % p
     )
     both = frozenset({"recurrence", "proposition"})
     r = verify_theorem(Fraction(2), 13, both)
@@ -340,6 +344,41 @@ def test_route_disagreement_is_recorded(monkeypatch):
     rep = scan_range(Fraction(2), 3, 50, paths=both)
     assert len(rep.records) == 11 and rep.all_match
     assert not any(r.paths_agree for r in rep.records)
+
+
+def test_scan_runs_the_proposition_once_per_chunk_and_no_scalar_fib_mod(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the scan checked a prime one at a time")
+
+    monkeypatch.setattr(congruence, "qfib_mod_proposition", refuse)
+    for module in (congruence, qfib):
+        if hasattr(module, "fib_mod"):
+            monkeypatch.setattr(module, "fib_mod", refuse)
+    lanes = []
+    real = congruence._CROSS_CHECKS["proposition"]
+
+    def counted(p, *args):
+        lanes.append(p.size)
+        return real(p, *args)
+
+    monkeypatch.setitem(congruence._CROSS_CHECKS, "proposition", counted)
+    rep = scan_range(Fraction(2), 3, 40000, paths=frozenset({"recurrence", "andrews", "proposition"}))
+    assert len(primes_upto(40000, 3)) > congruence.WINDOW_BLOCK  # the chunk spans two blocks
+    assert lanes == [len(rep.records)]
+    assert rep.all_match and all(r.paths_agree for r in rep.records)
+
+
+def test_poly_scan_holds_no_polynomial_cache():
+    # a fresh process, so that no earlier call has built polynomials
+    code = ("import tracemalloc; from fractions import Fraction; from qfibcong import scan_range; "
+            "tracemalloc.start(); "
+            "scan_range(Fraction(2), 3, 300, paths=frozenset({'recurrence', 'poly'})); "
+            "print(tracemalloc.get_traced_memory()[1])")
+    src = os.path.dirname(os.path.dirname(qfibcong.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peak = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+    assert int(peak) < 20e6
 
 
 def test_split_chunks():
