@@ -13,7 +13,6 @@ from .congruence import (
     Reason,
     ResidualData,
     ScanReport,
-    predicted_index,
     qfib_mod_proposition,
     residual_data,
     scan_range,
@@ -80,7 +79,6 @@ __all__ = [
     "lsym5",
     "multiplicative_order",
     "occurrence_histogram",
-    "predicted_index",
     "prime_sieve",
     "qfib_mod_andrews",
     "qfib_mod_proposition",

@@ -126,16 +126,6 @@ def _require_alpha(alpha: Fraction) -> Fraction:
     return alpha
 
 
-def predicted_index(rd: ResidualData) -> int:
-    """The Fibonacci index the congruence predicts: I_p(alpha) + (ord/5)."""
-    if not rd.applicable:
-        raise DomainError(f"inapplicable pair ({rd.alpha}, {rd.p}): {rd.reason.value}")
-    n = rd.index + rd.lsym_ord
-    if n < 0:
-        raise InternalInvariantViolation("predicted index must be non-negative")
-    return n
-
-
 # A window is classified in blocks of this many primes, so that its numpy
 # temporaries stay small.  In a fresh process, stats --g 3 --x 299001 peaked
 # 2.6 MB above the per-prime classification at 4,096-prime blocks and 8.4 MB
@@ -472,30 +462,26 @@ def run_chunks(
     return [result for result, _ in parts], skipped
 
 
-def scan_request(alpha: Fraction, p_min: int, p_max: int,
-                 paths: frozenset[str]) -> tuple[Fraction, frozenset[str]]:
-    """scan_range's input checks, made before any work; returns the alpha and the paths to scan."""
-    _check_request(paths, p_max)
-    alpha = _require_alpha(alpha)
-    if not 2 < p_min <= p_max:
-        raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
-    return alpha, paths | {"recurrence"}
-
-
 def scan_range(
     alpha: Fraction,
     p_min: int,
     p_max: int,
     paths: frozenset[str] = DEFAULT_PATHS,
     workers: int = 1,
+    lhs: dict[int, int] | None = None,
 ) -> ScanReport:
     """Verify the congruence at every applicable prime in [p_min, p_max].
 
     The recurrence always runs, so it is always among the report's paths.
-    Records depend only on (alpha, p) and are sorted by p after the merge,
-    so the output is identical for any worker count.
+    A prime's left side is lhs[p] where lhs has p, taken as given, as
+    record_chunk takes it.  Records depend only on (alpha, p) and lhs and are
+    sorted by p after the merge, so the output is identical for any worker count.
     """
-    alpha, paths = scan_request(alpha, p_min, p_max, paths)
-    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, workers, alpha, paths)
+    _check_request(paths, p_max)
+    alpha = _require_alpha(alpha)
+    if not 2 < p_min <= p_max:
+        raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
+    paths = paths | {"recurrence"}
+    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, workers, alpha, paths, lhs)
     records = sorted((r for records in parts for r in records), key=lambda r: r.p)
     return ScanReport(alpha, p_min, p_max, tuple(sorted(paths)), records, skipped)

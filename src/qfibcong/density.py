@@ -9,6 +9,7 @@ appear only when rendering.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .modarith import euler_phi, is_squarefree, kronecker, prime_sieve, primes_u
 from .qfib import RECURRENCE_MAX_P
 
 
+@functools.lru_cache(maxsize=64)  # c_g and field_degree check g at every term
 def _require_base(g: int) -> None:
     if g < 2 or not is_squarefree(g):
         raise DomainError(f"base must be a square-free integer >= 2, got {g}")
@@ -79,7 +81,8 @@ def c_g(g: int, b: int, f: int, v: int) -> int:
         return 0
     if v % 2 == 0:
         disc = quadratic_discriminant(g)
-        if f % disc == 0 and kronecker(disc, b) != 1:
+        # a character mod disc, which divides f: b % f has b's value and is non-negative
+        if f % disc == 0 and kronecker(disc, b % f) != 1:
             return 0
     return 1
 

@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 from typing import Any
 
-from .congruence import CongruenceRecord, ScanReport, record_chunk, run_chunks, scan_request
+from .congruence import CongruenceRecord, ScanReport, scan_range
 from .density import delta_truncated, require_x_bound, v_count
 from .errors import DomainError
 from .stats import occurrence_histogram
@@ -198,7 +198,7 @@ def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
 
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
-    """Rebuild a scan report by the calls scan makes, and list where it differs.
+    """Rebuild a scan report by the call scan makes, and list where it differs.
 
     A record is rebuilt with the report's own lhs where that is a residue of p and the
     record claims a match and agreeing routes; the recurrence runs for the window's
@@ -216,19 +216,17 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
         alpha = Fraction(meta.get("alpha", ""))
     except (TypeError, ValueError, ArithmeticError):
         return ["metadata.alpha unparsable"]
-    p_min, p_max = meta.get("p_min", 0), meta.get("p_max", 0)
-    try:
-        alpha, paths = scan_request(alpha, p_min, p_max, frozenset(meta.get("paths", ())))
-    except DomainError as exc:
-        return [f"cannot rebuild: {exc}"]
     # a string longer than str(p) is no residue, and could pass int()'s digit limit
     lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("match") is True
            and r.get("paths_agree") is True and r.get("lhs", "").isdecimal()
            and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
-    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, 1, alpha, paths, lhs)
-    rebuilt = scan_report_dict(ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),
-                                          [r for part in parts for r in part], skipped))
-    return (_compare(payload, rebuilt, "records", "p", "an applicable prime of the window")
+    try:
+        rep = scan_range(alpha, meta.get("p_min", 0), meta.get("p_max", 0),
+                         frozenset(meta.get("paths", ())), lhs=lhs)
+    except DomainError as exc:
+        return [f"cannot rebuild: {exc}"]
+    return (_compare(payload, scan_report_dict(rep), "records", "p",
+                     "an applicable prime of the window")
             + [f"record {i}: the evaluation routes disagree"
                for i, r in enumerate(records) if r.get("paths_agree") is not True])
 

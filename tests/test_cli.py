@@ -184,6 +184,25 @@ def test_checking_a_complete_scan_report_runs_no_recurrence(capsys, monkeypatch,
     assert batches == [1]
 
 
+def test_check_rebuilds_a_scan_report_by_one_scan_range_call(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "scan.json"
+    assert run(capsys, "scan", "--alpha", "2", "--pmax", "1000", "--out", str(path))[0] == 0
+    calls = {"scan_range": 0, "run_chunks": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    scan_range = counted("scan_range", congruence.scan_range)
+    monkeypatch.setattr(congruence, "scan_range", scan_range)
+    monkeypatch.setattr(report, "scan_range", scan_range)
+    monkeypatch.setattr(congruence, "run_chunks", counted("run_chunks", congruence.run_chunks))
+    assert check_report(str(path)) == []
+    assert calls == {"scan_range": 1, "run_chunks": 1}
+
+
 def test_worker_counts_below_one_are_refused(capsys):
     for workers in ("0", "-3"):
         code, out, err = run(capsys, "scan", "--alpha", "2", "--pmax", "100", "--workers", workers)
@@ -379,6 +398,19 @@ def test_density_command(capsys, tmp_path):
 
     code, _, err = run(capsys, "density", "--g", "4", "--t", "11")
     assert code == 2 and "square-free" in err
+
+
+def test_density_takes_a_by_its_class_mod_d(capsys, tmp_path):
+    bodies = []
+    for a in ("-1", "4", "9"):
+        path = tmp_path / f"d{a}.json"
+        code, _, err = run(capsys, "density", "--g", "5", "--t", "2", "--d", "5", "--a", a,
+                           "--trunc", "30", "--out", str(path))
+        assert (code, err) == (0, "") and check_report(str(path)) == []
+        payload = strip_run(json.loads(path.read_text()))
+        assert payload["metadata"].pop("a") == int(a)
+        bodies.append(payload)
+    assert bodies[0] == bodies[1] == bodies[2]
 
 
 # The product of the primes 10**30 + 57 and 10**31 + 33: no trial divisor,
@@ -606,7 +638,7 @@ def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("the window was sieved before the input checks")
 
-    monkeypatch.setattr(report, "run_chunks", refuse)
+    monkeypatch.setattr(congruence, "run_chunks", refuse)
     payload = json.loads(body)
     payload["metadata"]["p_max"] = RECURRENCE_MAX_P + 1
     check(payload, [f"cannot rebuild: the recurrence kernel needs p <= {RECURRENCE_MAX_P}, "

@@ -14,7 +14,6 @@ from qfibcong.congruence import (
     ALL_PATHS,
     Reason,
     ResidualData,
-    predicted_index,
     qfib_mod_proposition,
     residual_data,
     scan_range,
@@ -186,11 +185,10 @@ def test_s_set_sums_match_the_oracle_on_drawn_lanes(lanes):
 
 
 def test_predicted_index_examples():
-    assert predicted_index(residual_data(Fraction(2), 7)) == 1
-    assert predicted_index(residual_data(Fraction(2), 5)) == 2
-    assert predicted_index(residual_data(Fraction(2), 3)) == 0
-    with pytest.raises(DomainError):
-        predicted_index(residual_data(Fraction(2), 11))
+    for p, n in ((3, 0), (5, 2), (7, 1)):
+        assert verify_theorem(Fraction(2), p).predicted_index == n
+    rd = verify_theorem(Fraction(2), 11)
+    assert isinstance(rd, ResidualData) and rd.reason is Reason.ORD_DIVISIBLE_BY_5
 
 
 def test_proposition_handles_negative_exponents():
@@ -304,6 +302,24 @@ def test_scan_range_domain():
     for alpha in (Fraction(0), Fraction(1)):
         with pytest.raises(DomainError):
             scan_range(alpha, 24, 28)
+
+
+def test_scan_range_takes_known_left_sides(monkeypatch):
+    alpha, paths = Fraction(3, 2), frozenset({"andrews", "proposition"})
+    base = scan_range(alpha, 3, 3000, paths=paths)
+    lhs = {r.p: r.lhs for r in base.records}
+
+    def no_recurrence(*args):
+        raise AssertionError("the recurrence ran for a prime whose left side was given")
+
+    monkeypatch.setattr(congruence, "qfib_mod_recurrence_many", no_recurrence)
+    assert scan_range(alpha, 3, 3000, paths=paths, lhs=lhs) == base
+    # a wrong left side is taken as given: which ones to trust is the caller's decision
+    p = base.records[3].p
+    wrong = scan_range(alpha, 3, 3000, paths=paths, workers=2, lhs={**lhs, p: (lhs[p] + 1) % p})
+    r = wrong.records[3]
+    assert (r.p, r.lhs, r.match, r.paths_agree) == (p, (lhs[p] + 1) % p, False, False)
+    assert wrong.records[:3] + wrong.records[4:] == base.records[:3] + base.records[4:]
 
 
 def test_chunk_runner_sieves_only_the_window(monkeypatch):

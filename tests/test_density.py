@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qfibcong import density
 from qfibcong.density import (
     c_g,
     delta_truncated,
@@ -110,6 +111,26 @@ def test_delta_truncated_successive_truncations():
         diff = cur.partial_sum - prev.partial_sum
         assert abs(diff) <= Fraction(2, n_max * 11 * euler_phi(n_max) * 10)
         prev = cur
+
+
+def test_delta_truncated_checks_the_base_once(monkeypatch):
+    calls = []
+    real = density.is_squarefree
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(density, "is_squarefree", counted)
+    density._require_base.cache_clear()
+    g = 1000000007 * 10000000019  # square-free
+    delta_truncated(g, 1, 5, 11, 200)
+    assert calls == [g]
+    calls.clear()
+    for _ in range(2):  # a failing base is refused every time
+        with pytest.raises(DomainError):
+            delta_truncated(12, 1, 5, 11, 200)
+    assert calls == [12, 12]
 
 
 def test_delta_truncated_positive_certificate():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qfibcong.congruence import predicted_index, residual_data
+from qfibcong.congruence import residual_data
 from qfibcong import congruence, qfib, stats
 from qfibcong.errors import DomainError, TheoremViolation
 from qfibcong.modarith import primes_upto
@@ -60,7 +60,7 @@ def test_histogram_buckets_rederivable():
     pool = [(n, p) for n, ps in rep.by_index_witnesses.items() for p in ps]
     for n, p in rng.sample(pool, 100):
         rd = residual_data(Fraction(2), p)
-        assert rd.applicable and predicted_index(rd) == n
+        assert rd.applicable and rd.index + rd.lsym_ord == n
 
 
 def test_by_value_merges_colliding_indices():
