@@ -21,10 +21,7 @@ from .congruence import (
 from .density import (
     DeltaEstimate,
     VCount,
-    c_g,
     delta_truncated,
-    epsilon_g,
-    field_degree,
     v_count,
 )
 from .errors import (
@@ -65,15 +62,12 @@ __all__ = [
     "ScanReport",
     "TheoremViolation",
     "VCount",
-    "c_g",
     "check_report",
     "delta_truncated",
-    "epsilon_g",
     "euler_phi",
     "factorize",
     "fib",
     "fib_mod",
-    "field_degree",
     "is_prime",
     "kronecker",
     "lsym5",

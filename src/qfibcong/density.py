@@ -9,7 +9,6 @@ appear only when rendering.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,12 +16,11 @@ from fractions import Fraction
 import numpy as np
 
 from .congruence import WINDOW_BLOCK, multiplicative_orders, residues
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError
 from .modarith import euler_phi, is_squarefree, kronecker, prime_sieve, primes_upto
 from .qfib import RECURRENCE_MAX_P
 
 
-@functools.lru_cache(maxsize=64)  # c_g and field_degree check g at every term
 def _require_base(g: int) -> None:
     if g < 2 or not is_squarefree(g):
         raise DomainError(f"base must be a square-free integer >= 2, got {g}")
@@ -37,50 +35,26 @@ def require_x_bound(x: int, caller: str) -> None:
         raise DomainError(f"{caller} needs x <= {RECURRENCE_MAX_P}, got {x}")
 
 
-def epsilon_g(g: int, s: int) -> int:
-    """The degree-defect factor: 2 iff 2g | s and g = 1 mod 4, else 1."""
-    _require_base(g)
-    if s < 1:
-        raise DomainError(f"epsilon_g needs s >= 1, got {s}")
-    return 2 if s % (2 * g) == 0 and g % 4 == 1 else 1
+def _field_degree(g: int, s: int, r: int) -> int:
+    """[Q(zeta_s, g^(1/r)) : Q] = r * phi(s) / epsilon for r | s, where the defect
+    epsilon is 2 iff 2g | s and g = 1 mod 4, else 1.  Then s >= 10, so phi(s) is even."""
+    epsilon = 2 if s % (2 * g) == 0 and g % 4 == 1 else 1
+    return r * euler_phi(s) // epsilon
 
 
-def field_degree(g: int, s: int, r: int) -> int:
-    """[Q(zeta_s, g^(1/r)) : Q] = r * phi(s) / epsilon_g(s); requires r | s."""
-    _require_base(g)
-    if r < 1 or s % r != 0:
-        raise DomainError(f"field_degree needs r | s, got s={s}, r={r}")
-    num = r * euler_phi(s)
-    eps = epsilon_g(g, s)
-    if num % eps != 0:
-        raise InternalInvariantViolation("degree formula did not divide evenly")
-    return num // eps
-
-
-def quadratic_discriminant(g: int) -> int:
-    """Discriminant of Q(sqrt(g)): g when g = 1 mod 4, else 4g."""
-    _require_base(g)
-    return g if g % 4 == 1 else 4 * g
-
-
-def c_g(g: int, b: int, f: int, v: int) -> int:
+def _c_g(g: int, b: int, f: int, v: int) -> int:
     """Entanglement indicator: 1 iff the Artin map at b fixes Q(zeta_f) inside K^g_{v,v}.
 
     Criterion: with m = gcd(f, v), the intersection is Q(zeta_m), possibly
     extended by sqrt(g) exactly when v is even and the discriminant D of
-    Q(sqrt(g)) divides f.  So the value is 1 iff b = 1 mod m and, in the
-    extended case, the quadratic character of D at b is +1.
+    Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise, divides f.  So the value
+    is 1 iff b = 1 mod m and, in the extended case, the quadratic character of
+    D at b is +1.
     """
-    _require_base(g)
-    if f < 1 or v < 1:
-        raise DomainError(f"need f, v >= 1, got f={f}, v={v}")
-    if math.gcd(b, f) != 1:
-        raise DomainError(f"b={b} must be coprime to f={f}")
-    m = math.gcd(f, v)
-    if (b - 1) % m != 0:
+    if (b - 1) % math.gcd(f, v) != 0:
         return 0
     if v % 2 == 0:
-        disc = quadratic_discriminant(g)
+        disc = g if g % 4 == 1 else 4 * g
         # a character mod disc, which divides f: b % f has b's value and is non-negative
         if f % disc == 0 and kronecker(disc, b % f) != 1:
             return 0
@@ -159,11 +133,15 @@ def _tail_bound(t: int, mu: list[int], phi: list[int]) -> Fraction:
 
 
 def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate:
-    """The density series truncated at n_max, with every term an exact rational."""
+    """The density series truncated at n_max, with every term an exact rational.
+
+    The whole request is checked here, before any work; the term helpers check nothing."""
     _require_base(g)
     if t < 1 or d < 1 or n_max < 1:
         raise DomainError(f"need t, d, N >= 1, got t={t}, d={d}, N={n_max}")
-    b = 1 + t * a
+    b, f = 1 + t * a, d * t
+    if math.gcd(b, f) != 1:  # refused before the sieve, whose cost grows with N
+        raise DomainError(f"b={b} must be coprime to f={f}")
     mus, phis = mu_phi_sieve(n_max)
     terms: list[DeltaTerm] = []
     total = Fraction(0)
@@ -171,8 +149,8 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate
         mu = mus[n]
         if mu == 0 or a % math.gcd(n, d) != 0:
             continue
-        ind = c_g(g, b, d * t, n * t)
-        deg = field_degree(g, math.lcm(d, n) * t, n * t)
+        ind = _c_g(g, b, f, n * t)
+        deg = _field_degree(g, math.lcm(d, n) * t, n * t)
         value = Fraction(mu * ind, deg)
         terms.append(DeltaTerm(n, mu, ind, deg, value))
         total += value

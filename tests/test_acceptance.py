@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from qfibcong.congruence import ALL_PATHS, scan_range
-from qfibcong.density import delta_truncated, field_degree
+from qfibcong.density import _field_degree, delta_truncated
 from qfibcong.modarith import lsym5, multiplicative_order, primes_upto
 from qfibcong.qfib import fib
 from qfibcong.report import scan_report_dict, stats_report_dict
@@ -193,9 +193,9 @@ def test_criterion_6_density_positivity(capsys):
 def test_criterion_7_degree_formulas(capsys):
     """Hand degree values plus ratio inequalities on 100 random tuples."""
     failures = []
-    if field_degree(2, 5, 5) != 20:
+    if _field_degree(2, 5, 5) != 20:
         failures.append("field_degree(2,5,5) != 20")
-    if field_degree(2, 55, 11) != 440:
+    if _field_degree(2, 55, 11) != 440:
         failures.append("field_degree(2,55,11) != 440")
     rng = random.Random(440)
     bases = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15]
@@ -207,8 +207,8 @@ def test_criterion_7_degree_formulas(capsys):
         a = b * p * rng.randrange(1, 20)
         # [Q(zeta_ap, g^(1/b)) : Q(zeta_a, g^(1/b))] >= (p-1)/2 and
         # [Q(zeta_a, g^(1/bp)) : Q(zeta_a, g^(1/b))] = p
-        part1 = Fraction(field_degree(g, a * p, b), field_degree(g, a, b))
-        part2 = Fraction(field_degree(g, a, b * p), field_degree(g, a, b))
+        part1 = Fraction(_field_degree(g, a * p, b), _field_degree(g, a, b))
+        part2 = Fraction(_field_degree(g, a, b * p), _field_degree(g, a, b))
         if part1 < Fraction(p - 1, 2):
             failures.append(f"part 1 fails: g={g}, a={a}, b={b}, p={p}, ratio={part1}")
         if part2 != p:

@@ -284,6 +284,15 @@ def test_scan_deterministic_across_workers(capsys, tmp_path):
     assert bodies[0] == bodies[1] == bodies[2]
 
 
+def test_density_refuses_a_non_coprime_progression_before_the_sieve(capsys, monkeypatch):
+    def no_sieve(n_max):
+        raise AssertionError("mu and phi sieved for a refused request")
+
+    monkeypatch.setattr(density, "mu_phi_sieve", no_sieve)
+    code, out, err = run(capsys, "density", "--g", "2", "--t", "11", "--a", "4", "--trunc", "100000000")
+    assert (code, out) == (2, "") and "b=45 must be coprime to f=55" in err
+
+
 def test_check_command(capsys, tmp_path):
     path = tmp_path / "r.json"
     run(capsys, "scan", "--alpha", "2", "--pmax", "100", "--out", str(path))

@@ -5,15 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qfibcong import density
-from qfibcong.density import (
-    c_g,
-    delta_truncated,
-    epsilon_g,
-    field_degree,
-    mu_phi_sieve,
-    quadratic_discriminant,
-    v_count,
-)
+from qfibcong.density import _c_g, _field_degree, delta_truncated, mu_phi_sieve, v_count
 from qfibcong.errors import DomainError
 from qfibcong.modarith import euler_phi, is_squarefree, kronecker, primes_upto
 
@@ -23,25 +15,23 @@ SQUAREFREE = [g for g in range(2, 60) if is_squarefree(g)]
 
 
 def test_epsilon_g_examples():
-    assert epsilon_g(2, 5) == 1
-    assert epsilon_g(5, 20) == 2
-    assert epsilon_g(5, 15) == 1
-    assert epsilon_g(13, 26) == 2
-    with pytest.raises(DomainError):
-        epsilon_g(4, 10)
-    with pytest.raises(DomainError):
-        epsilon_g(-2, 10)
+    # epsilon_g(s) = 2 iff 2g | s and g = 1 mod 4, read off [Q(zeta_s, g) : Q] = phi(s) / epsilon
+    assert _field_degree(2, 5, 1) == 4
+    assert _field_degree(5, 20, 1) == 4
+    assert _field_degree(5, 15, 1) == 8
+    assert _field_degree(13, 26, 1) == 6
+    for g in (4, -2):  # the base is checked once, by the entry point
+        with pytest.raises(DomainError, match="square-free"):
+            delta_truncated(g, 1, 5, 11, 30)
 
 
 def test_field_degree_examples():
-    assert field_degree(2, 5, 5) == 20
-    assert field_degree(2, 55, 11) == 440
+    assert _field_degree(2, 5, 5) == 20
+    assert _field_degree(2, 55, 11) == 440
     for g in (2, 3, 7):
         for s in (3, 5, 9, 25):
             if s % (2 * g) != 0:
-                assert field_degree(g, s, 1) == euler_phi(s)
-    with pytest.raises(DomainError):
-        field_degree(2, 10, 3)
+                assert _field_degree(g, s, 1) == euler_phi(s)
 
 
 def test_field_degree_divides_exactly_randomized():
@@ -50,43 +40,58 @@ def test_field_degree_divides_exactly_randomized():
         g = rng.choice(SQUAREFREE)
         r = rng.randrange(1, 50)
         s = r * rng.randrange(1, 50)
-        deg = field_degree(g, s, r)
+        deg = _field_degree(g, s, r)
+        epsilon = 2 if s % (2 * g) == 0 and g % 4 == 1 else 1
         assert deg >= 1
-        assert deg * epsilon_g(g, s) == r * euler_phi(s)
+        assert deg * epsilon == r * euler_phi(s)
 
 
 def test_degree_ratio_bounds_examples():
     # [Q(zeta_ap, g^(1/b)) : Q(zeta_a, g^(1/b))] >= (p-1)/2 and, when bp | a,
     # [Q(zeta_a, g^(1/bp)) : Q(zeta_a, g^(1/b))] = p
-    assert Fraction(field_degree(2, 6 * 5, 3), field_degree(2, 6, 3)) == 4
-    assert Fraction(field_degree(2, 30, 3 * 5), field_degree(2, 30, 3)) == 5
-    assert Fraction(field_degree(5, 10 * 3, 2), field_degree(5, 10, 2)) >= 1
+    assert Fraction(_field_degree(2, 6 * 5, 3), _field_degree(2, 6, 3)) == 4
+    assert Fraction(_field_degree(2, 30, 3 * 5), _field_degree(2, 30, 3)) == 5
+    assert Fraction(_field_degree(5, 10 * 3, 2), _field_degree(5, 10, 2)) >= 1
 
 
 def test_quadratic_discriminant():
-    assert quadratic_discriminant(5) == 5
-    assert quadratic_discriminant(13) == 13
-    assert quadratic_discriminant(2) == 8
-    assert quadratic_discriminant(3) == 12
+    # D = g when g = 1 mod 4, else 4g.  With v = 2 the character of D at b gates
+    # the value when f = D, and nothing does when f = 2g, which 4g does not divide.
+    for g, disc in ((2, 8), (3, 12), (5, 5), (13, 13)):
+        for b in range(1, 3 * disc):
+            if math.gcd(b, disc) == 1:
+                assert _c_g(g, b, disc, 2) == (1 if kronecker(disc, b) == 1 else 0)
+                if disc == 4 * g:
+                    assert _c_g(g, b, 2 * g, 2) == 1
 
 
 def test_c_g_examples():
-    assert c_g(2, 1, 55, 11) == 1
-    assert c_g(2, 12, 55, 11) == 1
-    assert c_g(2, 2, 55, 11) == 0  # 2 is not 1 mod 11
+    assert _c_g(2, 1, 55, 11) == 1
+    assert _c_g(2, 12, 55, 11) == 1
+    assert _c_g(2, 2, 55, 11) == 0  # 2 is not 1 mod 11
     for g in (2, 3, 5):
         for b in (1, 3, 7, 9):
-            assert c_g(g, b, 4, 9) == 1  # gcd(f, v) = 1, v odd
-    with pytest.raises(DomainError):
-        c_g(2, 5, 55, 11)  # gcd(b, f) != 1
+            assert _c_g(g, b, 4, 9) == 1  # gcd(f, v) = 1, v odd
+    with pytest.raises(DomainError, match="b=45 must be coprime to f=55"):
+        delta_truncated(2, 4, 5, 11, 30)  # b = 1 + 11*4, f = 5*11
 
 
 def test_c_g_even_v_quadratic_condition():
     # D = 8 for g = 2; with D | f and v even the character at b gates the value
     for b in (3, 5, 7, 9, 11, 13):
         expected = 1 if kronecker(8, b) == 1 else 0
-        got = c_g(2, b, 8, 2)  # m = gcd(8, 2) = 2, so b = 1 mod 2 holds for odd b
+        got = _c_g(2, b, 8, 2)  # m = gcd(8, 2) = 2, so b = 1 mod 2 holds for odd b
         assert got == expected
+
+
+def test_non_coprime_progression_is_refused_before_the_sieve(monkeypatch):
+    def no_sieve(n_max):
+        raise AssertionError("mu and phi sieved for a refused request")
+
+    monkeypatch.setattr(density, "mu_phi_sieve", no_sieve)
+    with pytest.raises(DomainError) as refusal:
+        delta_truncated(2, 4, 5, 11, 10**8)
+    assert str(refusal.value) == "b=45 must be coprime to f=55"
 
 
 def test_delta_truncated_leading_term():
@@ -122,7 +127,6 @@ def test_delta_truncated_checks_the_base_once(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(density, "is_squarefree", counted)
-    density._require_base.cache_clear()
     g = 1000000007 * 10000000019  # square-free
     delta_truncated(g, 1, 5, 11, 200)
     assert calls == [g]
