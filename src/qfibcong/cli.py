@@ -183,7 +183,7 @@ def _cmd_density(args) -> int:
           f" -> {'POSITIVE' if est.positive else 'not certified positive'}")
     vc = None
     if args.empirical_x is not None:
-        vc = density.v_count(est.g, est.a, est.d, est.t, args.empirical_x)
+        vc = density._v_count(est.g, est.a, est.d, est.t, args.empirical_x)
         print(f"empirical count up to {args.empirical_x}: {vc.count}")
     if args.out:
         report.write_json(report.density_report_dict(est, vc), args.out)

@@ -37,8 +37,9 @@ def require_x_bound(x: int, caller: str) -> None:
 
 def _field_degree(g: int, s: int, r: int) -> int:
     """[Q(zeta_s, g^(1/r)) : Q] = r * phi(s) / epsilon for r | s, where the defect
-    epsilon is 2 iff 2g | s and g = 1 mod 4, else 1.  Then s >= 10, so phi(s) is even."""
-    epsilon = 2 if s % (2 * g) == 0 and g % 4 == 1 else 1
+    epsilon is 2 iff r is even and sqrt(g) lies in Q(zeta_s), that is, the discriminant
+    D of Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise, divides s; else 1."""
+    epsilon = 2 if r % 2 == 0 and s % (g if g % 4 == 1 else 4 * g) == 0 else 1
     return r * euler_phi(s) // epsilon
 
 
@@ -183,9 +184,14 @@ def v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
     """Sieve, keep the primes of the arithmetic progression, then filter them on the
     residual index, block by block."""
     _require_base(g)
-    require_x_bound(x, "v_count")
     if t < 1 or d < 1:
         raise DomainError(f"need t, d >= 1, got t={t}, d={d}")
+    return _v_count(g, a, d, t, x)
+
+
+def _v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
+    """v_count for a request whose g, t and d delta_truncated has already checked."""
+    require_x_bound(x, "v_count")
     modulus = d * t
     target = (1 + t * a) % modulus
     progression = [p for p in primes_upto(x) if p % modulus == target]

@@ -27,11 +27,14 @@ RECURRENCE_MAX_P = 3_037_000_500
 # int64's, and the primes above it in int64.
 _UINT32_MAX_P = 65_536
 
-# A lockstep step costs 2.5-2.9 us of numpy overhead at 16-32 lanes, in uint32
-# and int64 alike, a scalar step 0.14 us (numpy 2.4, Python 3.11, one core of
-# a Xeon VM), so a batch of similar primes pays for the lockstep from about
-# 19 primes on.
-_LOCKSTEP_MIN_BATCH = 20
+# Batches of fewer primes than this run the blocked kernel (_block_products), wider ones
+# the plain lockstep, whose step does 2 multiply-mods a lane against the matrix lane's 3.
+# Blocked/plain time, best of 2-3 pinned to one core of a Xeon VM (numpy 2.4, Python 3.11):
+# 0.42-0.76 at 256 primes, consecutive ones near 2e4, 5e4 and 2e5 or drawn below 2e4 and
+# 5e4; 0.74-1.00 at 768; 0.83-1.40 from 1,024 primes on, 1.40 for 5,000 primes below 5e4,
+# a scan window.  One prime alone runs blocked at every size: below p = 2,000 a scalar
+# loop was faster, by at most 0.1 ms.
+_WIDE_MIN_BATCH = 256
 
 # The largest n for qfib_poly.  Walking F_0..F_n, of degree up to about n**2/4, took 0.12 s
 # and 4.2 MB at n = 300 and 1.1 s and 23 MB at n = 600 (Python 3.11, one core of a Xeon VM).
@@ -57,16 +60,86 @@ def qfib_poly(n: int) -> tuple[int, ...]:
 
 
 def qfib_mod_recurrence(n: int, a: int, p: int) -> int:
-    """F_n(a) mod p by the recurrence, maintaining the rolling power q**k."""
+    """F_n(a) mod the odd prime p by the recurrence: the top left entry of M_{n-2}...M_0,
+    with M_k = [[1, a**k], [1, 0]], which takes (F_{k+1}, F_k) to (F_{k+2}, F_{k+1}).
+
+    a**k mod p has period dividing p - 1 (Fermat), so n - 1 = q(p - 1) + r steps are q
+    whole periods and then r steps: one period runs in the blocked kernel, split at r,
+    and the period's product is raised to the q-th power by squaring.  A modulus for
+    which a**(p - 1) = 1 fails runs all n - 1 steps.  At a = 0 mod p every M_k past M_0
+    is [[1, 0], [1, 0]], so F_n = 1 for every n >= 1.
+    """
     if n < 0:
         raise DomainError(f"qfib_mod_recurrence needs n >= 0, got {n}")
-    if n == 0:
-        return 0
-    f0, f1, pw = 0, 1, 1
-    for _ in range(n - 1):
-        f0, f1 = f1, (f1 + pw * f0) % p
-        pw = pw * a % p
-    return f1
+    a %= p
+    if n == 0 or a == 0:
+        return min(n, 1)
+    dtype = np.uint32 if p <= _UINT32_MAX_P else np.int64 if p <= RECURRENCE_MAX_P else object
+    q, r = divmod(n - 1, p - 1)
+    if q and pow(a, p - 1, p) == 1:
+        head, rest = _block_products([(p, a, 0, r), (p, a, r, p - 1)], dtype)
+        return _mat_mul(head, _mat_pow(_mat_mul(rest, head, p), q, p), p)[0]
+    return _block_products([(p, a, 0, n - 1)], dtype)[0][0]
+
+
+def _mat_mul(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The 2x2 product x*y mod p, each matrix a 4-tuple: top row, then bottom row."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p
+
+
+def _mat_pow(x: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
+    """x**e mod p by squaring."""
+    out = (1, 0, 0, 1)
+    while e:
+        if e & 1:
+            out = _mat_mul(out, x, p)
+        x = _mat_mul(x, x, p)
+        e >>= 1
+    return out
+
+
+def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
+                    block: int | None = None) -> list[tuple[int, ...]]:
+    """M_{k1-1}...M_{k0} mod p, with M_k = [[1, a**k], [1, 0]], for each segment
+    (p, a, k0, k1), 0 <= k0 <= k1: the exact block-product form of Bostan, Gaudry and
+    Schost (SIAM J. Comput. 36(6), 2007), without their polynomial baby steps.
+
+    Each segment is cut into blocks of `block` steps, by default about sqrt(steps)/2 over
+    all segments, which balances the lockstep's per-step overhead against the products.
+    Every block is one lane of a numpy lockstep of 2x2 matrices that starts from the
+    identity and a**start; a step takes the top row to top + a**k * bottom and the bottom
+    row to the old top, so no entry passes p*(p - 1), the step bound of dtype.  A block
+    shorter than the rest is read off as the step count reaches it.  The block matrices
+    are then multiplied in Python ints, later blocks on the left.
+    """
+    block = block or max(1, int(sum(k1 - k0 for _, _, k0, k1 in segments) ** 0.5) // 2)
+    lanes = [(i, p, a, pow(a, start, p), min(block, k1 - start))
+             for i, (p, a, k0, k1) in enumerate(segments) for start in range(k0, k1, block)]
+    owner, mods, alphas, powers, steps = zip(*lanes) if lanes else ((),) * 5
+    P, A, PW = (np.array(column, dtype=dtype) for column in (mods, alphas, powers))
+    top = np.zeros((2, len(lanes)), dtype=dtype)
+    bottom = np.zeros_like(top)
+    top[0] = bottom[1] = 1
+    short: dict[int, list[int]] = {}
+    for j, n in enumerate(steps):
+        if n < block:
+            short.setdefault(n, []).append(j)
+    early = [None] * len(lanes)
+    for k in range(1, max(steps, default=0) + 1):
+        bottom *= PW
+        bottom += top
+        bottom %= P
+        top, bottom = bottom, top
+        PW *= A
+        PW %= P
+        for j in short.get(k, ()):
+            early[j] = (int(top[0, j]), int(top[1, j]), int(bottom[0, j]), int(bottom[1, j]))
+    products = [(1, 0, 0, 1)] * len(segments)
+    for i, p, done, full in zip(owner, mods, early, zip(*top.tolist(), *bottom.tolist())):
+        products[i] = _mat_mul(done or full, products[i], p)
+    return products
 
 
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:
@@ -87,14 +160,15 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
 def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -> list[int]:
     """F_p(alpha_p) mod p for ascending primes whose step values fit in dtype.
 
-    A batch of at least _LOCKSTEP_MIN_BATCH primes runs the recurrence in
-    numpy lockstep: the front prime's value is harvested as the step count
-    reaches it, and the arrays are then cut down to the primes not yet
-    finished, so the work is exactly sum(p - 1).  Shorter batches run the
-    scalar recurrence prime by prime.
+    A batch of fewer than _WIDE_MIN_BATCH primes runs the blocked kernel, F_p being the
+    top left entry of the product of a prime's p - 1 steps.  Wider batches run the
+    recurrence in a plain numpy lockstep: the front prime's value is harvested as the
+    step count reaches it, and the arrays are then cut down to the primes not yet
+    finished, so the work is exactly sum(p - 1).
     """
-    if len(primes) < _LOCKSTEP_MIN_BATCH:
-        return [qfib_mod_recurrence(p, a, p) for p, a in zip(primes, alpha_values)]
+    if len(primes) < _WIDE_MIN_BATCH:
+        segments = [(p, a, 0, p - 1) for p, a in zip(primes, alpha_values)]
+        return [product[0] for product in _block_products(segments, dtype)]
     P = np.array(primes, dtype=dtype)
     A = np.array(alpha_values, dtype=dtype)
     F0 = np.zeros(len(primes), dtype=dtype)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .congruence import CongruenceRecord, ScanReport, scan_range
-from .density import delta_truncated, require_x_bound, v_count
+from .density import _v_count, delta_truncated, require_x_bound
 from .errors import DomainError
 from .stats import occurrence_histogram
 
@@ -289,7 +289,7 @@ def _check_density(payload: dict[str, Any]) -> list[str]:
             require_x_bound(empirical.get("x", 0), "v_count")
         est = delta_truncated(int(meta.get("g", "0")),
                               *(meta.get(k, 0) for k in ("a", "d", "t", "truncation")))
-        vc = (v_count(est.g, est.a, est.d, est.t, empirical.get("x", 0))
+        vc = (_v_count(est.g, est.a, est.d, est.t, empirical.get("x", 0))
               if "empirical" in payload else None)
     except (DomainError, ValueError) as exc:
         return [f"cannot rebuild: {exc}"]

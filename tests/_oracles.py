@@ -94,6 +94,25 @@ def qfib_seq_mod(n_max: int, a: int, p: int) -> list[int]:
     return vals[: n_max + 1]
 
 
+def qfib_mod_scalar(n: int, a: int, p: int) -> int:
+    """F_n(a) mod p by the plain recurrence, one step at a time, maintaining the rolling
+    power a**k and holding only the last two values."""
+    f0, f1, pw = 0, 1, 1
+    for _ in range(n - 1):
+        f0, f1 = f1, (f1 + pw * f0) % p
+        pw = pw * a % p
+    return f1 if n else 0
+
+
+def step_product(p: int, a: int, k0: int, k1: int) -> tuple[int, ...]:
+    """M_{k1-1}...M_{k0} mod p, M_k = [[1, a**k], [1, 0]], one matrix at a time."""
+    x = (1, 0, 0, 1)
+    for k in range(k0, k1):
+        pw = pow(a, k, p)
+        x = ((x[0] + pw * x[2]) % p, (x[1] + pw * x[3]) % p, x[0], x[1])
+    return x
+
+
 def fib_seq(n_max: int) -> list[int]:
     vals = [0, 1]
     while len(vals) <= n_max:

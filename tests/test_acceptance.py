@@ -197,6 +197,10 @@ def test_criterion_7_degree_formulas(capsys):
         failures.append("field_degree(2,5,5) != 20")
     if _field_degree(2, 55, 11) != 440:
         failures.append("field_degree(2,55,11) != 440")
+    if _field_degree(5, 20, 1) != 8:  # no defect at odd r
+        failures.append("field_degree(5,20,1) != 8")
+    if _field_degree(2, 8, 2) != 4:  # sqrt(2) lies in Q(zeta_8)
+        failures.append("field_degree(2,8,2) != 4")
     rng = random.Random(440)
     bases = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15]
     odd_primes = [3, 5, 7, 11, 13]

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qfibcong import density
+from qfibcong.cli import main
 from qfibcong.density import _c_g, _field_degree, delta_truncated, mu_phi_sieve, v_count
 from qfibcong.errors import DomainError
 from qfibcong.modarith import euler_phi, is_squarefree, kronecker, primes_upto
+from qfibcong.report import check_report
 
 from _oracles import moebius
 
@@ -15,11 +17,18 @@ SQUAREFREE = [g for g in range(2, 60) if is_squarefree(g)]
 
 
 def test_epsilon_g_examples():
-    # epsilon_g(s) = 2 iff 2g | s and g = 1 mod 4, read off [Q(zeta_s, g) : Q] = phi(s) / epsilon
+    # epsilon = 2 iff r is even and the discriminant D of Q(sqrt(g)) divides s, read off
+    # [Q(zeta_s, g^(1/r)) : Q] = r * phi(s) / epsilon
     assert _field_degree(2, 5, 1) == 4
-    assert _field_degree(5, 20, 1) == 4
+    assert _field_degree(5, 20, 1) == 8  # odd r: Q(zeta_20) itself
+    assert _field_degree(5, 10, 2) == 4  # sqrt(5) lies in Q(zeta_5)
     assert _field_degree(5, 15, 1) == 8
-    assert _field_degree(13, 26, 1) == 6
+    assert _field_degree(13, 26, 1) == 12
+    assert _field_degree(13, 26, 2) == 12
+    assert _field_degree(2, 8, 2) == 4  # D = 8: sqrt(2) lies in Q(zeta_8)
+    assert _field_degree(2, 4, 2) == 4  # Q(i, sqrt(2)) = Q(zeta_8)
+    assert _field_degree(3, 12, 2) == 4  # D = 12
+    assert _field_degree(3, 6, 2) == 4  # 12 does not divide 6
     for g in (4, -2):  # the base is checked once, by the entry point
         with pytest.raises(DomainError, match="square-free"):
             delta_truncated(g, 1, 5, 11, 30)
@@ -41,7 +50,7 @@ def test_field_degree_divides_exactly_randomized():
         r = rng.randrange(1, 50)
         s = r * rng.randrange(1, 50)
         deg = _field_degree(g, s, r)
-        epsilon = 2 if s % (2 * g) == 0 and g % 4 == 1 else 1
+        epsilon = 2 if r % 2 == 0 and s % (g if g % 4 == 1 else 4 * g) == 0 else 1
         assert deg >= 1
         assert deg * epsilon == r * euler_phi(s)
 
@@ -92,6 +101,44 @@ def test_non_coprime_progression_is_refused_before_the_sieve(monkeypatch):
     with pytest.raises(DomainError) as refusal:
         delta_truncated(2, 4, 5, 11, 10**8)
     assert str(refusal.value) == "b=45 must be coprime to f=55"
+
+
+def test_series_matches_the_prime_count_on_even_moduli():
+    # progressions whose d brings 2 and g (or 4g) into s, where the degree's defect
+    # decides the terms: the series at N = 300 against v_count / pi(x) at x = 3e5
+    # (measured 5e-6 against 0, 0.1968 against 0.1971 and 0.0935 against 0.0936)
+    x = 300_000
+    pi_x = len(primes_upto(x))
+    for g, a, d, t in ((5, 0, 10, 1), (5, 2, 10, 1), (2, 0, 4, 2)):
+        est = delta_truncated(g, a, d, t, 300)
+        assert abs(est.partial_sum - Fraction(v_count(g, a, d, t, x).count, pi_x)) < Fraction(1, 200)
+    # p = 1 mod 10 makes 5 a square mod p, so no prime has index 1 there
+    assert v_count(5, 0, 10, 1, x).count == 0
+    assert not delta_truncated(5, 0, 10, 1, 300).positive
+
+
+def test_v_count_checks_the_base_once_per_request(monkeypatch, capsys, tmp_path):
+    # density --empirical-x checks g in delta_truncated only, and so does check of its
+    # report; the public v_count keeps its own check
+    calls = []
+    real = density._require_base
+
+    def counted(g):
+        calls.append(g)
+        real(g)
+
+    monkeypatch.setattr(density, "_require_base", counted)
+    out = tmp_path / "d.json"
+    argv = ["density", "--g", "6", "--t", "11", "--trunc", "30", "--empirical-x", "2000", "--out", str(out)]
+    assert main(argv) == 0
+    assert calls == [6]
+    calls.clear()
+    assert check_report(str(out)) == []
+    assert calls == [6]
+    calls.clear()
+    v_count(6, 1, 5, 11, 2000)
+    assert calls == [6]
+    capsys.readouterr()
 
 
 def test_delta_truncated_leading_term():

@@ -10,8 +10,10 @@ from qfibcong.modarith import lsym5, multiplicative_order
 from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
-    _LOCKSTEP_MIN_BATCH,
     _UINT32_MAX_P,
+    _WIDE_MIN_BATCH,
+    _block_products,
+    _recurrence_lanes,
     binomial_row,
     fib,
     fib_mod,
@@ -30,7 +32,9 @@ from _oracles import (
     poly_add,
     poly_eval_mod,
     primes_trial,
+    qfib_mod_scalar,
     qfib_seq_mod,
+    step_product,
 )
 
 
@@ -237,18 +241,61 @@ def test_recurrence_kernel_refuses_primes_past_int64():
 
 
 def test_recurrence_kernel_on_both_sides_of_the_lockstep_threshold():
+    # narrower batches run the blocked kernel, wider ones the plain lockstep
     rng = random.Random(5)
     odd = primes_trial(2999)[1:]
-    m = _LOCKSTEP_MIN_BATCH
-    batches = [sorted(rng.sample(odd, k)) for k in (0, 1, m - 1, m, m + 1, 300)]
+    m = _WIDE_MIN_BATCH
+    batches = [sorted(rng.sample(odd, k)) for k in (0, 1, 2, m - 1, m, m + 1, 300)]
     batches += [odd[i:i + k] for i in (0, 1, 2) for k in (m - 1, m, m + 1)]  # from 3, 5 and 7
     batches += [[3] + odd[-k:] for k in (m - 2, m - 1)]  # 3 and 2999 far apart
     for ps in batches:
         avals = [rng.randrange(2, p) for p in ps]
-        expected = [qfib_mod_recurrence(p, a, p) for p, a in zip(ps, avals)]
+        expected = [qfib_mod_scalar(p, a, p) for p, a in zip(ps, avals)]
         assert qfib_mod_recurrence_many(ps, avals) == expected, ps
     with pytest.raises(DomainError):
         qfib_mod_recurrence_many(odd[:m][::-1], [2] * m)
+
+
+def test_block_kernel_matches_the_oracle_for_every_alpha():
+    # every odd p < 400 and every alpha mod p, 0 included, as one batch of p lanes per p
+    for p in _ODD_PRIMES:
+        if p > 400:
+            break
+        products = _block_products([(p, a, 0, p - 1) for a in range(p)], np.uint32)
+        assert [m[0] for m in products] == [qfib_mod_scalar(p, a, p) for a in range(p)], p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_ODD_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p), st.integers(0, p - 1),
+    st.one_of(st.sampled_from((1, p - 1, p, p + 1, 3 * p)), st.integers(1, 2 * p)),
+    st.integers(0, 2 * p), st.integers(0, 2 * p))),
+    st.sampled_from((np.uint32, np.int64, object)))
+def test_block_kernel_matches_the_oracle_on_drawn_blocks(drawn, dtype):
+    # one prime's p - 1 steps and a second segment [k0, k1), in blocks of L steps (L = 1,
+    # L = p - 1 and L >= p included), against the oracle and the plain matrix product
+    p, a, block, k0, k1 = drawn
+    k0, k1 = sorted((k0, k1))
+    whole, segment = _block_products([(p, a, 0, p - 1), (p, a, k0, k1)], dtype, block)
+    assert whole[0] == qfib_mod_scalar(p, a, p)
+    assert whole == step_product(p, a, 0, p - 1)
+    assert segment == step_product(p, a, k0, k1)
+
+
+def test_qfib_mod_recurrence_folds_by_the_period():
+    # n past p - 1 folds by a**(p - 1) = 1; a = 0 mod p has its own case; a composite
+    # modulus, for which the fold's premise can fail, runs every step
+    rng = random.Random(25)
+    for p in (3, 5, 7, 11, 13, 9, 15, 21, 25):
+        for a in range(-1, 2 * p):
+            for n in list(range(4 * p)) + [rng.randrange(4 * p, 60 * p) for _ in range(3)]:
+                assert qfib_mod_recurrence(n, a, p) == qfib_mod_scalar(n, a % p, p), (n, a, p)
+    for p, n in ((7, 100_003), (65_537, 300_001), (1_000_003, 2_000_010)):
+        a = rng.randrange(2, p)
+        assert qfib_mod_recurrence(n, a, p) == qfib_mod_scalar(n, a, p), (n, a, p)
+    # moduli past RECURRENCE_MAX_P run in Python-int lanes
+    p = 10**12 + 39
+    assert [qfib_mod_recurrence(n, 3, p) for n in range(300)] == qfib_seq_mod(299, 3, p)
 
 
 def test_uint32_lanes_hold_every_step_below_their_bound():
@@ -260,16 +307,22 @@ def test_uint32_lanes_hold_every_step_below_their_bound():
 
 
 def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
-    odd = [n for n in range(65_001, 66_200, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+    odd = [n for n in range(65_001, 65_700, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
     below = [p for p in odd if p <= _UINT32_MAX_P]
     above = [p for p in odd if p > _UINT32_MAX_P]
-    assert above[0] == 65_537
+    assert above[0] == 65_537 and below[-1] == 65_521
+    m = _WIDE_MIN_BATCH
+    small = primes_trial(2000)[1:m]
     rng = random.Random(15)
     # alpha = p - 1 makes PW*A = (p - 1)**2, which wraps in uint32 at p = 65,537
-    alphas = {p: p - 1 if p == 65_537 or rng.random() < 0.5 else rng.randrange(2, p - 1) for p in odd}
-    expected = {p: qfib_mod_recurrence(p, a, p) for p, a in alphas.items()}
-    m = _LOCKSTEP_MIN_BATCH
-    for lo in (m - 1, m, m + 1):
-        for hi in (m - 1, m, m + 1):
-            ps = below[-lo:] + above[:hi]
+    alphas = {p: p - 1 if p in (65_521, 65_537) or rng.random() < 0.5 else rng.randrange(1, p)
+              for p in small + odd}
+    expected = {p: qfib_mod_scalar(p, a, p) for p, a in alphas.items()}
+    # the uint32 side narrow or wide (m, the plain lockstep's floor, padded with small primes)
+    for lo in (1, 3, m):
+        for hi in (1, 3, len(above)):
+            ps = small[:max(0, lo - len(below))] + below[-lo:] + above[:hi]
             assert qfib_mod_recurrence_many(ps, [alphas[p] for p in ps]) == [expected[p] for p in ps], (lo, hi)
+    # a wide batch in int64 lanes, on primes small enough for the oracle
+    assert _recurrence_lanes(small + below, [alphas[p] for p in small + below], np.int64) == [
+        expected[p] for p in small + below]
