@@ -29,11 +29,11 @@ _UINT32_MAX_P = 65_536
 
 # Batches of fewer primes than this run the blocked kernel (_block_products), wider ones
 # the plain lockstep, whose step does 2 multiply-mods a lane against the matrix lane's 3.
-# Blocked/plain time, best of 2-3 pinned to one core of a Xeon VM (numpy 2.4, Python 3.11):
-# 0.42-0.76 at 256 primes, consecutive ones near 2e4, 5e4 and 2e5 or drawn below 2e4 and
-# 5e4; 0.74-1.00 at 768; 0.83-1.40 from 1,024 primes on, 1.40 for 5,000 primes below 5e4,
-# a scan window.  One prime alone runs blocked at every size: below p = 2,000 a scalar
-# loop was faster, by at most 0.1 ms.
+# Blocked/plain time, best of 2-3 pinned to one core of a Xeon VM (numpy 2.4, Python 3.11),
+# on consecutive primes near 2e4, 5e4, 6e4, 1e5, 2e5 and 4e5 or primes drawn below them:
+# 0.38-0.88 at 256 primes, 0.60-1.13 at 512, 0.74-1.00 at 768, 0.83-1.22 at 1,024 and
+# 1.40 for the 5,000 primes below 5e4, a scan window.  One prime alone runs blocked at
+# every size: below p = 2,000 a scalar loop was faster, by at most 0.1 ms.
 _WIDE_MIN_BATCH = 256
 
 # The largest n for qfib_poly.  Walking F_0..F_n, of degree up to about n**2/4, took 0.12 s
