@@ -227,16 +227,25 @@ _COMMANDS = {
 }
 
 
+# The parser main builds on its first call and reuses; a call whose config supplies
+# defaults re-parses on a fresh parser, so they never reach a later call.
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser, sub = _build_parser()
+    global _PARSER
     try:
-        args = parser.parse_args(argv)
+        if _PARSER is None:
+            _PARSER = _build_parser()[0]
+        args = _PARSER.parse_args(argv)
         # QFIB_WORKERS is the lowest config entry: flags, then the file, then it, then 1
         config = {"workers": os.environ["QFIB_WORKERS"]} if "QFIB_WORKERS" in os.environ else {}
         if args.config:
             config.update(_load_config(args.config))
-        sub.choices[args.command].set_defaults(**_config_defaults(args, config))
-        args = parser.parse_args(argv)
+        if defaults := _config_defaults(args, config):
+            parser, sub = _build_parser()
+            sub.choices[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

@@ -44,20 +44,39 @@ def _field_degree(g: int, s: int, r: int) -> int:
 
 
 def _c_g(g: int, b: int, f: int, v: int) -> int:
-    """Entanglement indicator: 1 iff the Artin map at b fixes Q(zeta_f) inside K^g_{v,v}.
+    """Entanglement indicator: 1 iff the Artin map at b fixes Q(zeta_f) within K^g_{v,v}.
 
-    Criterion: with m = gcd(f, v), the intersection is Q(zeta_m), possibly
-    extended by sqrt(g) exactly when v is even and the discriminant D of
-    Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise, divides f.  So the value
-    is 1 iff b = 1 mod m and, in the extended case, the quadratic character of
-    D at b is +1.
+    The abelian part of K^g_{v,v} is Q(zeta_v) for odd v and Q(zeta_v, sqrt(g)) for even
+    v, so the intersection is the field of the Dirichlet characters mod f that are
+    psi or psi * chi_D, with psi a character mod v and chi_D the character of the
+    discriminant D of Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise; the second kind
+    only for even v.  The Artin map at b fixes it iff every such character is 1 at b.
+
+    The first kind are the characters mod m = gcd(f, v), all 1 at b iff b = 1 mod m.
+    For the second, split chi_D into its local characters, of discriminants l* = +-l
+    (conductor l) for the odd primes l | g and -4, 8 or -8 (conductor 4 or 8) at 2 for
+    g != 1 mod 4; the conductors are prime powers, pairwise coprime, with product |D|.
+    psi * chi_D has conductor dividing f iff at every l its l-part does.  Where the local
+    conductor divides f, that asks psi's l-part to come from gcd(f, v); where it does not,
+    psi's l-part must cancel the local character up to one mod f's l-part, which a
+    character mod v can do iff the local conductor divides v.  So the second kind exist
+    iff every local conductor divides f or v, that is, D divides lcm(f, v), and then they
+    are chi_{D_f} * (the first kind), with D_f the product of the local discriminants
+    whose conductor divides f.  The value is 1 iff b = 1 mod m and, when v is even and D
+    divides lcm(f, v), chi_{D_f}(b) = +1.
     """
     if (b - 1) % math.gcd(f, v) != 0:
         return 0
-    if v % 2 == 0:
-        disc = g if g % 4 == 1 else 4 * g
-        # a character mod disc, which divides f: b % f has b's value and is non-negative
-        if f % disc == 0 and kronecker(disc, b % f) != 1:
+    disc = g if g % 4 == 1 else 4 * g
+    if v % 2 == 0 and math.lcm(f, v) % disc == 0:
+        odd = g // 2 if g % 2 == 0 else g  # square-free g: its odd primes are those of disc
+        odd_f = math.gcd(odd, f)
+        d_f = odd_f if odd_f % 4 == 1 else -odd_f  # the product of l* over l | gcd(g, f)
+        if g % 4 != 1:  # the local discriminant at 2: -4 for g = 3 mod 4, +-8 for even g
+            d_2 = -4 if g % 2 else 8 if odd % 4 == 1 else -8
+            d_f *= d_2 if f % d_2 == 0 else 1
+        # chi_{D_f} is a character mod |D_f|, which divides f, so b % f > 0 has b's value
+        if kronecker(d_f, b % f) != 1:
             return 0
     return 1
 

@@ -15,11 +15,12 @@ from operator import add
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantViolation
 from .qanalogue import _context
 
 # The largest p with p*(p - 1) <= 2**63 - 1.  A recurrence step computes
-# F1 + PW*F0 with every term below p in int64, so past it the step wraps.
+# F1 + PW*F0, or V0 + W*V1 in the rescaled lockstep, with every term below p in int64,
+# so past it the step wraps.
 RECURRENCE_MAX_P = 3_037_000_500
 
 # The largest p with p*(p - 1) <= 2**32 - 1, by the same step bound: primes up
@@ -28,11 +29,11 @@ RECURRENCE_MAX_P = 3_037_000_500
 _UINT32_MAX_P = 65_536
 
 # Batches of fewer primes than this run the blocked kernel (_block_products), wider ones
-# the plain lockstep, whose step does 2 multiply-mods a lane against the matrix lane's 3.
-# Blocked/plain time, best of 2-3 pinned to one core of a Xeon VM (numpy 2.4, Python 3.11),
-# on consecutive primes near 2e4, 5e4, 6e4, 1e5, 2e5 and 4e5 or primes drawn below them:
-# 0.38-0.88 at 256 primes, 0.60-1.13 at 512, 0.74-1.00 at 768, 0.83-1.22 at 1,024 and
-# 1.40 for the 5,000 primes below 5e4, a scan window.  One prime alone runs blocked at
+# the rescaled lockstep, whose step does 1.5 multiply-mods a lane against the matrix
+# lane's 3.  Blocked/rescaled time, alpha 2, best of 3 in two sweeps pinned to one core of
+# a Xeon VM (numpy 2.4, Python 3.11), on consecutive primes from 2e4, 5e4 (uint32) and
+# 1e5 (int64): 0.50-0.72 at 128 primes, 0.66-1.04 at 192, 0.76-0.99 (uint32) and
+# 1.12-1.24 (int64) at 256, 0.95-1.17 and 1.43 at 384.  One prime alone runs blocked at
 # every size: below p = 2,000 a scalar loop was faster, by at most 0.1 ms.
 _WIDE_MIN_BATCH = 256
 
@@ -143,7 +144,7 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
 
 
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:
-    """F_p(alpha_p) mod p for an ascending batch of primes.
+    """F_p(alpha_p) mod p for an ascending batch of odd primes, each alpha_p in [0, p).
 
     The batch is split once at _UINT32_MAX_P, and each part runs in the
     narrowest lanes its step values fit: uint32 below the split, int64 above.
@@ -152,37 +153,60 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
         raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
     if any(q < p for p, q in zip(primes, primes[1:])):
         raise DomainError("the recurrence kernel needs the primes in ascending order")
+    if primes and primes[0] == 2:
+        raise DomainError("the recurrence kernel needs odd primes")
     cut = bisect_right(primes, _UINT32_MAX_P)
     return (_recurrence_lanes(primes[:cut], alpha_values[:cut], np.uint32)
             + _recurrence_lanes(primes[cut:], alpha_values[cut:], np.int64))
 
 
 def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -> list[int]:
-    """F_p(alpha_p) mod p for ascending primes whose step values fit in dtype.
+    """F_p(alpha_p) mod p for ascending odd primes whose step values fit in dtype, each
+    alpha_p in [0, p).
 
     A batch of fewer than _WIDE_MIN_BATCH primes runs the blocked kernel, F_p being the
-    top left entry of the product of a prime's p - 1 steps.  Wider batches run the
-    recurrence in a plain numpy lockstep: the front prime's value is harvested as the
-    step count reaches it, and the arrays are then cut down to the primes not yet
-    finished, so the work is exactly sum(p - 1).
+    top left entry of the product of a prime's p - 1 steps.  Wider batches run a numpy
+    lockstep on the rescaled values V_k, F_k = a**e_k * V_k with e_k = floor((k - 1)**2 / 4).
+    Since e_{k+2} = e_k + k and e_{k+2} - e_{k+1} = ceil(k / 2), F_{k+2} = F_{k+1} + a**k F_k
+    becomes V_{k+2} = W_k V_{k+1} + V_k with V_0 = 0, V_1 = 1 and W_k = b**ceil(k / 2),
+    b = a**-1 mod p.  W changes only on odd k, so a step does 1.5 multiply-mods a lane
+    against the plain recurrence's 2, and W*V + V is at most p*(p - 1), the same bound.
+
+    The front prime's value is harvested as the step count reaches it, and the arrays are
+    then cut down to the primes not yet finished, so the work is exactly sum(p - 1).  After
+    step p - 2, W = b**((p - 1) / 2), which is 1 or p - 1 by Euler's criterion, and
+    e_p = ((p - 1) / 2)**2, so Fermat gives a**e_p = 1 when p = 1 mod 4 and
+    a**((p - 1) / 2) = W when p = 3 mod 4: F_p = V_p, or W * V_p in the latter case.
+    At a = 0 mod p, b = 0 leaves V_k = 1 = F_k for every k >= 1, with W = 0.
     """
     if len(primes) < _WIDE_MIN_BATCH:
         segments = [(p, a, 0, p - 1) for p, a in zip(primes, alpha_values)]
         return [product[0] for product in _block_products(segments, dtype)]
     P = np.array(primes, dtype=dtype)
-    A = np.array(alpha_values, dtype=dtype)
-    F0 = np.zeros(len(primes), dtype=dtype)
-    F1 = np.ones(len(primes), dtype=dtype)
-    PW = np.ones(len(primes), dtype=dtype)
+    B = np.array([pow(a, -1, p) if a else 0 for p, a in zip(primes, alpha_values)], dtype=dtype)
+    V0 = np.zeros(len(primes), dtype=dtype)
+    V1 = np.ones(len(primes), dtype=dtype)
+    W = np.ones(len(primes), dtype=dtype)
+    T = np.empty_like(V0)
     out = []
-    n = 1  # F1 holds F_n
-    for p in primes:
-        for _ in range(p - n):
-            F0, F1 = F1, (F1 + PW * F0) % P
-            PW = PW * A % P
-        n = p
-        out.append(int(F1[0]))
-        P, A, F0, F1, PW = P[1:], A[1:], F0[1:], F1[1:], PW[1:]
+    done = 0  # steps taken, always even: V0, V1 hold V_done, V_{done+1} and W holds W_done
+    for p, a in zip(primes, alpha_values):
+        for _ in range(done, p - 1, 2):  # steps k (even) and k + 1, with W_{k+1} = W_k * b
+            np.multiply(W, V1, out=T)
+            V0 += T
+            V0 %= P
+            W *= B
+            W %= P
+            np.multiply(W, V0, out=T)
+            V1 += T
+            V1 %= P
+        done = p - 1
+        w, v = int(W[0]), int(V1[0])
+        if w != 1 and w != p - 1 and a:
+            raise InternalInvariantViolation(
+                f"the rescaled recurrence ended with b**((p - 1)/2) = {w} mod {p}, not 1 or -1")
+        out.append(-v % p if w == p - 1 and p % 4 == 3 else v)
+        P, B, V0, V1, W, T = P[1:], B[1:], V0[1:], V1[1:], W[1:], T[1:]
     return out
 
 

@@ -515,6 +515,24 @@ def test_config_file_defaults_and_overrides(capsys, tmp_path, monkeypatch):
     assert code == 0 and "match" in out
 
 
+def test_parser_is_built_once_and_config_defaults_do_not_leak(capsys, tmp_path, monkeypatch):
+    # the first call builds the parser and later ones reuse it; a call whose config
+    # supplies defaults parses again on a fresh parser, so the next plain call reads none
+    monkeypatch.delenv("QFIB_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    builds, seen = [], []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setitem(cli._COMMANDS, "scan", lambda args: seen.append(args.workers) or 0)
+    cfg = tmp_path / "qfib.cfg"
+    cfg.write_text("workers = 2\n")
+    scan = ("scan", "--alpha", "2", "--pmax", "20")
+    assert main(["--config", str(cfg), *scan]) == 0
+    assert main(list(scan)) == 0
+    assert main(list(scan)) == 0
+    assert seen == [2, 1, 1] and len(builds) == 2
+
+
 def test_workers_env_default(capsys, monkeypatch):
     monkeypatch.setenv("QFIB_WORKERS", "2")
     code, out, _ = run(capsys, "scan", "--alpha", "2", "--pmax", "100")

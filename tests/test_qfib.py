@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfibcong.errors import DomainError
+from qfibcong.errors import DomainError, InternalInvariantViolation
 from qfibcong.modarith import lsym5, multiplicative_order
 from qfibcong.qfib import (
     POLY_MAX_N,
@@ -326,3 +326,61 @@ def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
     # a wide batch in int64 lanes, on primes small enough for the oracle
     assert _recurrence_lanes(small + below, [alphas[p] for p in small + below], np.int64) == [
         expected[p] for p in small + below]
+
+
+def test_rescaled_wide_path_matches_the_oracle_for_every_alpha():
+    # every odd p < 400 and every alpha mod p, 0 included, repeated until the batch of the
+    # one prime is wide; p = 1 and 3 mod 4 and residues and non-residues are all covered
+    m = _WIDE_MIN_BATCH
+    for p in _ODD_PRIMES:
+        if p > 400:
+            break
+        alphas = list(range(p)) * -(-m // p)
+        expected = [qfib_mod_scalar(p, a, p) for a in range(p)] * -(-m // p)
+        for dtype in (np.uint32, np.int64):
+            assert _recurrence_lanes([p] * len(alphas), alphas, dtype) == expected, (p, dtype)
+
+
+_SMALL_ODD = primes_trial(3000)[1:]
+_NEAR_CUT = [n for n in range(65_001, 69_000, 2) if all(n % d for d in range(3, math.isqrt(n) + 1, 2))]
+_M = _WIDE_MIN_BATCH
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(st.sampled_from((_M - 1, _M, _M + 1)), st.integers(0, 2 * _M)),
+       st.integers(0, 8), st.one_of(st.integers(0, 3), st.sampled_from((_M - 1, _M))),
+       st.randoms(use_true_random=False))
+def test_rescaled_wide_path_on_batches_that_straddle_the_uint32_bound(n_small, n_below, n_above, rng):
+    # mixed ascending batches, repeats allowed, narrow or wide on either side of the cut,
+    # against each prime's blocked product; alpha = p - 1 makes b = p - 1, the largest values
+    below = [p for p in _NEAR_CUT if p <= _UINT32_MAX_P]
+    above = [p for p in _NEAR_CUT if p > _UINT32_MAX_P]
+    ps = sorted(rng.choices(_SMALL_ODD, k=n_small) + rng.choices(below, k=n_below)) + sorted(
+        rng.sample(above, n_above))
+    avals = [rng.choice((0, 1, p - 1, rng.randrange(p))) for p in ps]
+    expected = [product[0] for product in _block_products(
+        [(p, a, 0, p - 1) for p, a in zip(ps, avals)], np.int64)]
+    assert qfib_mod_recurrence_many(ps, avals) == expected
+
+
+def test_rescaled_wide_path_checks_eulers_criterion(monkeypatch):
+    # b**((p - 1)/2) must end at 1 or p - 1: a lane whose b is not a unit, and a composite
+    # modulus, each leave another value there
+    from qfibcong import qfib
+
+    ps = _ODD_PRIMES[:_WIDE_MIN_BATCH]
+    avals = [2] * len(ps)
+    assert _recurrence_lanes(ps, avals, np.uint32) == [qfib_mod_scalar(p, 2, p) for p in ps]
+    bad = ps[100]
+    monkeypatch.setattr(qfib, "pow", lambda a, e, p: 0 if (e, p) == (-1, bad) else pow(a, e, p),
+                        raising=False)
+    with pytest.raises(InternalInvariantViolation, match=f"mod {bad}"):
+        _recurrence_lanes(ps, avals, np.uint32)
+    monkeypatch.undo()
+    with pytest.raises(InternalInvariantViolation, match="mod 9,"):
+        _recurrence_lanes(sorted(ps[1:] + [9]), avals, np.int64)
+
+
+def test_recurrence_kernel_refuses_the_even_prime():
+    with pytest.raises(DomainError):
+        qfib_mod_recurrence_many([2] + _ODD_PRIMES[:_WIDE_MIN_BATCH], [1] * (_WIDE_MIN_BATCH + 1))
