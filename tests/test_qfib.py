@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfibcong import qfib
 from qfibcong.errors import DomainError, InternalInvariantViolation
 from qfibcong.modarith import lsym5, multiplicative_order
 from qfibcong.qfib import (
@@ -254,6 +255,8 @@ def test_recurrence_kernel_on_both_sides_of_the_lockstep_threshold():
         assert qfib_mod_recurrence_many(ps, avals) == expected, ps
     with pytest.raises(DomainError):
         qfib_mod_recurrence_many(odd[:m][::-1], [2] * m)
+    with pytest.raises(DomainError):  # the wide path takes its steps in pairs, so p - 1 even
+        qfib_mod_recurrence_many([2] + odd[:m], [1] * (m + 1))
 
 
 def test_block_kernel_matches_the_oracle_for_every_alpha():
@@ -366,8 +369,6 @@ def test_rescaled_wide_path_on_batches_that_straddle_the_uint32_bound(n_small, n
 def test_rescaled_wide_path_checks_eulers_criterion(monkeypatch):
     # b**((p - 1)/2) must end at 1 or p - 1: a lane whose b is not a unit, and a composite
     # modulus, each leave another value there
-    from qfibcong import qfib
-
     ps = _ODD_PRIMES[:_WIDE_MIN_BATCH]
     avals = [2] * len(ps)
     assert _recurrence_lanes(ps, avals, np.uint32) == [qfib_mod_scalar(p, 2, p) for p in ps]
@@ -379,8 +380,3 @@ def test_rescaled_wide_path_checks_eulers_criterion(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(InternalInvariantViolation, match="mod 9,"):
         _recurrence_lanes(sorted(ps[1:] + [9]), avals, np.int64)
-
-
-def test_recurrence_kernel_refuses_the_even_prime():
-    with pytest.raises(DomainError):
-        qfib_mod_recurrence_many([2] + _ODD_PRIMES[:_WIDE_MIN_BATCH], [1] * (_WIDE_MIN_BATCH + 1))
