@@ -2,7 +2,7 @@
 
 Subcommands: qfib, verify, scan, density, stats, check.  Exit codes:
 0 ok, 1 congruence mismatch, disagreeing routes or failed revalidation,
-2 usage or domain error, 3 inapplicable input, 4 I/O error.
+2 usage or domain error, 3 inapplicable input, 4 I/O error, 5 a worker process died.
 Batch-oriented: reports are written atomically and are byte-identical
 for any worker count.
 """
@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, congruence, density, report, stats
-from .errors import DomainError, QFibError, TheoremViolation
+from .errors import DomainError, QFibError, TheoremViolation, WorkerDied
 from .modarith import is_prime, reduce_rational
 from .qfib import RECURRENCE_MAX_P, qfib_mod_recurrence, qfib_poly
 
@@ -25,6 +25,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_IO = 4
+EXIT_WORKER_DIED = 5
 
 
 def _parse_paths(text: str) -> frozenset[str]:
@@ -173,20 +174,16 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    if args.empirical_x is not None:  # refused before the series, not after it
-        density.require_x_bound(args.empirical_x, "v_count")
-    est = density.delta_truncated(args.g, args.a, args.d, args.t, args.trunc)
+    est = density.delta_truncated(args.g, args.a, args.d, args.t, args.trunc, args.empirical_x)
     print(f"delta(g = {est.g}, a = {est.a}, d = {est.d}, t = {est.t}) truncated at N = {est.truncation}")
     print(f"partial sum = {est.partial_sum} ~ {float(est.partial_sum):.6g}")
     print(f"tail bound  = {est.tail_bound} ~ {float(est.tail_bound):.6g}")
     print(f"lower bound = {est.lower_bound} ~ {float(est.lower_bound):.6g}"
           f" -> {'POSITIVE' if est.positive else 'not certified positive'}")
-    vc = None
-    if args.empirical_x is not None:
-        vc = density._v_count(est.g, est.a, est.d, est.t, args.empirical_x)
-        print(f"empirical count up to {args.empirical_x}: {vc.count}")
+    if est.empirical is not None:
+        print(f"empirical count up to {est.empirical.x}: {est.empirical.count}")
     if args.out:
-        report.write_json(report.density_report_dict(est, vc), args.out)
+        report.write_json(report.density_report_dict(est), args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -227,6 +224,10 @@ _COMMANDS = {
 }
 
 
+# The exit code of each error that main reports as one line on stderr; the first match wins.
+_ERROR_EXITS = ((TheoremViolation, EXIT_MISMATCH), (WorkerDied, EXIT_WORKER_DIED),
+                ((QFibError, ValueError, ZeroDivisionError), EXIT_USAGE), (OSError, EXIT_IO))
+
 # The parser main builds on its first call and reuses; a call whose config supplies
 # defaults re-parses on a fresh parser, so they never reach a later call.
 _PARSER: argparse.ArgumentParser | None = None
@@ -249,15 +250,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    except TheoremViolation as exc:
+    except (QFibError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (QFibError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in _ERROR_EXITS if isinstance(exc, kinds))
 
 
 def entrypoint() -> None:

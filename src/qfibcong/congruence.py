@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import multiprocessing
 import os
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InternalInvariantViolation
+from .errors import DomainError, InternalInvariantViolation, WorkerDied
 from .modarith import is_prime, lsym5, multiplicative_order, prime_sieve, primes_upto
 from .qfib import (POLY_MAX_N, RECURRENCE_MAX_P, RouteValue, fib_mod_lanes, qfib_mod_andrews,
                    qfib_mod_recurrence_many, qfib_polys)
@@ -41,11 +40,7 @@ class Reason(enum.Enum):
     ORD_DIVISIBLE_BY_5 = "OrdDivisibleBy5"
 
 
-SKIP_REASONS = (
-    Reason.BAD_VALUATION_ALPHA,
-    Reason.BAD_VALUATION_ALPHA_MINUS_1,
-    Reason.ORD_DIVISIBLE_BY_5,
-)
+SKIP_REASONS = tuple(r for r in Reason if r is not Reason.OK)
 
 
 @dataclass(frozen=True)
@@ -440,7 +435,8 @@ def run_chunks(
     caller must give 3 <= p_min and p_max <= RECURRENCE_MAX_P, and an alpha
     outside {0, 1}.  The primes are dealt into one chunk per worker by
     split_chunks.  The non-empty chunks run in one process pool of at most
-    one process per chunk and per CPU, or inline when that is one.  Each
+    one process per chunk and per CPU, or inline when that is one; a worker
+    that dies, killed for lack of memory say, raises WorkerDied.  Each
     call gets an iterator over its chunk's applicable primes as blocks of int64
     columns (p, alpha mod p, ord, index, lsym), as residual_window returns them,
     in ascending p, followed by extra;
@@ -454,8 +450,15 @@ def run_chunks(
     jobs = [(chunk_fn, alpha, chunk, extra) for chunk in split_chunks(primes, workers) if chunk]
     processes = min(workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(_run_chunk, jobs)
+        # imported here, so that a run that stays inline does not pay for it; the executor
+        # starts its processes as multiprocessing's default context does
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(processes) as pool:
+                parts = list(pool.map(_run_chunk, jobs))
+        except BrokenProcessPool:  # where multiprocessing.Pool.map waits for ever (bpo-22393)
+            raise WorkerDied(f"a worker process died before its chunk was done, "
+                             f"so the run over [{p_min}, {p_max}] is incomplete") from None
     else:
         parts = [_run_chunk(job) for job in jobs]
     skipped = {r.value: sum(skips[r.value] for _, skips in parts) for r in SKIP_REASONS}

@@ -104,6 +104,7 @@ class DeltaEstimate:
     partial_sum: Fraction
     tail_bound: Fraction
     terms: tuple[DeltaTerm, ...]
+    empirical: VCount | None = None
 
     @property
     def lower_bound(self) -> Fraction:
@@ -152,10 +153,14 @@ def _tail_bound(t: int, mu: list[int], phi: list[int]) -> Fraction:
     return Fraction(2, t * euler_phi(t)) * (head + rest)
 
 
-def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate:
-    """The density series truncated at n_max, with every term an exact rational.
+def delta_truncated(g: int, a: int, d: int, t: int, n_max: int,
+                    empirical_x: int | None = None) -> DeltaEstimate:
+    """The density series truncated at n_max, with every term an exact rational, and the
+    v_count of its primes up to empirical_x, if given, as the estimate's empirical.
 
     The whole request is checked here, before any work; the term helpers check nothing."""
+    if empirical_x is not None:
+        require_x_bound(empirical_x, "v_count")
     _require_base(g)
     if t < 1 or d < 1 or n_max < 1:
         raise DomainError(f"need t, d, N >= 1, got t={t}, d={d}, N={n_max}")
@@ -183,6 +188,7 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int) -> DeltaEstimate
         partial_sum=total,
         tail_bound=_tail_bound(t, mus, phis),
         terms=tuple(terms),
+        empirical=None if empirical_x is None else _v_count(g, a, d, t, empirical_x),
     )
 
 
@@ -205,12 +211,12 @@ def v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
     _require_base(g)
     if t < 1 or d < 1:
         raise DomainError(f"need t, d >= 1, got t={t}, d={d}")
+    require_x_bound(x, "v_count")
     return _v_count(g, a, d, t, x)
 
 
 def _v_count(g: int, a: int, d: int, t: int, x: int) -> VCount:
-    """v_count for a request whose g, t and d delta_truncated has already checked."""
-    require_x_bound(x, "v_count")
+    """v_count for a request that v_count or delta_truncated has already checked."""
     modulus = d * t
     target = (1 + t * a) % modulus
     progression = [p for p in primes_upto(x) if p % modulus == target]

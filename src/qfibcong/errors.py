@@ -15,3 +15,7 @@ class InternalInvariantViolation(QFibError):
 
 class TheoremViolation(QFibError):
     """A congruence that must hold was observed to fail; fatal."""
+
+
+class WorkerDied(QFibError):
+    """A worker process of a pool ended before returning its result."""

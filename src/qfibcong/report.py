@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .congruence import CongruenceRecord, ScanReport, scan_range
-from .density import _v_count, delta_truncated, require_x_bound
+from .density import delta_truncated
 from .errors import DomainError
 from .stats import occurrence_histogram
 
@@ -90,8 +90,8 @@ def stats_report_dict(rep) -> dict[str, Any]:
     }
 
 
-def density_report_dict(est, vc=None) -> dict[str, Any]:
-    """JSON-ready dict for a truncated density estimate, optionally with counts."""
+def density_report_dict(est) -> dict[str, Any]:
+    """JSON-ready dict for a truncated density estimate, with its count if it has one."""
     out = {
         "kind": "density",
         "format_version": FORMAT_VERSION,
@@ -115,11 +115,11 @@ def density_report_dict(est, vc=None) -> dict[str, Any]:
             for t in est.terms
         ],
     }
-    if vc is not None:
+    if est.empirical is not None:
         out["empirical"] = {
-            "x": vc.x,
-            "count": vc.count,
-            "witnesses": [_big(p) for p in vc.witnesses],
+            "x": est.empirical.x,
+            "count": est.empirical.count,
+            "witnesses": [_big(p) for p in est.empirical.witnesses],
         }
     return out
 
@@ -276,7 +276,7 @@ def _check_stats(payload: dict[str, Any]) -> list[str]:
 
 
 def _check_density(payload: dict[str, Any]) -> list[str]:
-    """Rebuild a density report by the calls density makes, and list where it differs."""
+    """Rebuild a density report by the call density makes, and list where it differs."""
     meta, empirical = payload.get("metadata", {}), payload.get("empirical", {})
     problems = (_malformed("metadata", meta, ints=("a", "d", "t", "truncation"), decimals=("g",))
                 + _malformed("summary", payload.get("summary", {}))
@@ -285,13 +285,9 @@ def _check_density(payload: dict[str, Any]) -> list[str]:
     if problems:
         return problems
     try:  # int() refuses a g past its digit limit, as the CLI's --g does
-        if "empirical" in payload:  # refused before the series, as the CLI refuses it
-            require_x_bound(empirical.get("x", 0), "v_count")
         est = delta_truncated(int(meta.get("g", "0")),
-                              *(meta.get(k, 0) for k in ("a", "d", "t", "truncation")))
-        vc = (_v_count(est.g, est.a, est.d, est.t, empirical.get("x", 0))
-              if "empirical" in payload else None)
+                              *(meta.get(k, 0) for k in ("a", "d", "t", "truncation")),
+                              empirical.get("x", 0) if "empirical" in payload else None)
     except (DomainError, ValueError) as exc:
         return [f"cannot rebuild: {exc}"]
-    return _compare(payload, density_report_dict(est, vc), "terms", "n",
-                    "a term of the truncation")
+    return _compare(payload, density_report_dict(est), "terms", "n", "a term of the truncation")

@@ -121,8 +121,8 @@ def test_windows_past_the_order_kernel_bound_are_refused_before_any_work(capsys,
         raise AssertionError("work started before the input checks")
 
     monkeypatch.setattr(stats, "run_chunks", no_work)
-    monkeypatch.setattr(density, "delta_truncated", no_work)
-    monkeypatch.setattr(density, "primes_upto", no_work)
+    for name in ("_require_base", "mu_phi_sieve", "primes_upto"):  # what follows the x check
+        monkeypatch.setattr(density, name, no_work)
     for x, refusal in ((str(RECURRENCE_MAX_P + 1), "<= 3037000500"), ("1", ">= 2")):
         for argv, caller in ((("stats", "--g", "2", "--x", x), "occurrence_histogram"),
                              (("density", "--g", "2", "--t", "11", "--empirical-x", x), "v_count")):
@@ -407,6 +407,37 @@ def test_density_command(capsys, tmp_path):
 
     code, _, err = run(capsys, "density", "--g", "4", "--t", "11")
     assert code == 2 and "square-free" in err
+
+
+def test_density_and_its_check_each_sum_the_series_once_and_count_once(capsys, monkeypatch,
+                                                                       tmp_path):
+    # one delta_truncated call, within which the series is summed once and the primes
+    # counted once
+    calls = []
+
+    def counted(name, real, modules):
+        def wrapper(*args):
+            calls.append(name)
+            result = real(*args)
+            calls.append(f"{name} returned")
+            return result
+
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+
+    counted("delta_truncated", density.delta_truncated, (density, report))
+    counted("mu_phi_sieve", density.mu_phi_sieve, (density,))
+    counted("_v_count", density._v_count, (density,))
+    path = tmp_path / "d.json"
+    code, out, _ = run(capsys, "density", "--g", "6", "--t", "11", "--trunc", "50",
+                       "--empirical-x", "5000", "--out", str(path))
+    assert code == 0 and "empirical count up to 5000" in out
+    nested = ["delta_truncated", "mu_phi_sieve", "mu_phi_sieve returned", "_v_count",
+              "_v_count returned", "delta_truncated returned"]
+    assert calls == nested
+    calls.clear()
+    assert run(capsys, "check", str(path))[0] == 0
+    assert calls == nested
 
 
 def test_density_takes_a_by_its_class_mod_d(capsys, tmp_path):
@@ -718,7 +749,7 @@ def test_check_rebuilds_density_reports(capsys, monkeypatch, tmp_path):
     def no_series(*args):
         raise AssertionError("the series was summed before the input checks")
 
-    monkeypatch.setattr(report, "delta_truncated", no_series)
+    monkeypatch.setattr(density, "mu_phi_sieve", no_series)
     payload = json.loads(body)
     payload["empirical"] = {"x": RECURRENCE_MAX_P + 1, "count": 0, "witnesses": []}
     check(payload, [f"cannot rebuild: v_count needs x <= {RECURRENCE_MAX_P}, "

@@ -1,5 +1,8 @@
+import concurrent.futures.process
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -416,9 +419,9 @@ def test_split_chunks():
 def test_chunk_runner_starts_no_idle_processes(monkeypatch):
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -427,9 +430,9 @@ def test_chunk_runner_starts_no_idle_processes(monkeypatch):
             return False
 
         def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+            return map(fn, jobs)
 
-    monkeypatch.setattr(congruence.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(congruence.os, "cpu_count", lambda: 8)
     # [1500, 1530] holds two primes, 1511 and 1523: two non-empty chunks of 64
     rep = scan_range(Fraction(2), 1500, 1530, workers=64)
@@ -438,6 +441,56 @@ def test_chunk_runner_starts_no_idle_processes(monkeypatch):
     monkeypatch.setattr(congruence.os, "cpu_count", lambda: 1)
     scan_range(Fraction(2), 3, 1000, workers=64)
     assert sizes == [2]
+
+
+# Runs one 2-worker command whose worker holding p = 5 dies, by os._exit or by SIGKILL to
+# itself, then prints the exit code and how many pool processes are left.
+_DYING_WORKER = """
+import multiprocessing, os, signal, sys
+from qfibcong import cli, congruence, stats
+
+how, command = sys.argv[1:]
+multiprocessing.set_start_method("fork")  # the workers inherit the patch below
+congruence.os.cpu_count = lambda: 2
+
+
+def dying(real, primes_arg):
+    def wrapper(*args):
+        if 5 in list(args[primes_arg]):
+            os._exit(137) if how == "exit" else os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+    return wrapper
+
+
+if command == "scan":
+    congruence.qfib_mod_recurrence_many = dying(congruence.qfib_mod_recurrence_many, 0)
+    argv = ["scan", "--alpha", "2", "--pmax", "1000", "--workers", "2"]
+else:
+    stats.fib_mod_lanes = dying(stats.fib_mod_lanes, 1)
+    argv = ["stats", "--g", "2", "--x", "1000", "--workers", "2"]
+code = cli.main(argv)
+print(code, len(multiprocessing.active_children()))
+"""
+
+
+def test_a_dead_worker_fails_the_run_instead_of_hanging():
+    # each command runs in a child, in its own process group, so that a hang fails the test
+    # after 10 s and leaves no process behind
+    src = os.path.dirname(os.path.dirname(qfibcong.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for how in ("exit", "kill"):
+        for command in ("scan", "stats"):
+            child = subprocess.Popen([sys.executable, "-c", _DYING_WORKER, how, command], env=env,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                     start_new_session=True)
+            try:
+                out, err = child.communicate(timeout=10)
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+            assert (out, err) == ("5 0\n", "error: a worker process died before its chunk was "
+                                            "done, so the run over [3, 1000] is incomplete\n")
 
 
 def _body(payload):
