@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import count, islice
+from math import isqrt
 from operator import add
 
 import numpy as np
@@ -32,10 +33,22 @@ _UINT32_MAX_P = 65_536
 # the rescaled lockstep, whose step does 1.5 multiply-mods a lane against the matrix
 # lane's 3.  Blocked/rescaled time, alpha 2, best of 3 in two sweeps pinned to one core of
 # a Xeon VM (numpy 2.4, Python 3.11), on consecutive primes from 2e4, 5e4 (uint32) and
-# 1e5 (int64): 0.50-0.72 at 128 primes, 0.66-1.04 at 192, 0.76-0.99 (uint32) and
-# 1.12-1.24 (int64) at 256, 0.95-1.17 and 1.43 at 384.  One prime alone runs blocked at
-# every size: below p = 2,000 a scalar loop was faster, by at most 0.1 ms.
+# 1e5 (int64): 0.43-0.73 at 128 primes, 0.51-0.96 at 192, 0.71-0.91 (uint32) and
+# 0.88-1.07 (int64) at 256, 0.76-1.11 and 1.07-1.21 at 384.  One prime alone runs blocked
+# at every size: below p = 2,000 a scalar loop was faster, by at most 0.2 ms.
 _WIDE_MIN_BATCH = 256
+
+# The blocked kernel's default block: _BLOCK_STEPS steps a lane, fewer below 14,400 steps
+# a call, and as many more as keep a call within _MAX_LANES lanes, so that it holds
+# a few MB at any p.  On the same core, four primes each near 2e4, 8e4 and 1.4e5 took
+# 10.5-10.9 ms in all (best of 15) in blocks of 40 or 48 steps, 11.2-11.7 ms in blocks of
+# 24 or 64, and 11.9-12.1 ms in blocks of 32, where the tree pads 4,376 lanes to 8,192.
+# p = 101, 1,009 and 4,999 took 0.17, 0.22-0.23 and 0.28-0.29 ms in blocks of 5 to 14
+# steps, against 0.29, 0.33 and 0.39 ms in blocks of 40.  One prime near 1e7 ran at 115M,
+# 129M, 135M and 123M element-steps/s on 4,096, 8,192, 16,384 and 32,768 lanes, and one
+# near 1e8 at 128M, 138M and 126M on the last three.
+_BLOCK_STEPS = 40
+_MAX_LANES = 1 << 14
 
 # The largest n for qfib_poly.  Walking F_0..F_n, of degree up to about n**2/4, took 0.12 s
 # and 4.2 MB at n = 300 and 1.1 s and 23 MB at n = 600 (Python 3.11, one core of a Xeon VM).
@@ -107,40 +120,124 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     (p, a, k0, k1), 0 <= k0 <= k1: the exact block-product form of Bostan, Gaudry and
     Schost (SIAM J. Comput. 36(6), 2007), without their polynomial baby steps.
 
-    Each segment is cut into blocks of `block` steps, by default about sqrt(steps)/2 over
-    all segments, which balances the lockstep's per-step overhead against the products.
-    Every block is one lane of a numpy lockstep of 2x2 matrices that starts from the
-    identity and a**start; a step takes the top row to top + a**k * bottom and the bottom
-    row to the old top, so no entry passes p*(p - 1), the step bound of dtype.  A block
-    shorter than the rest is read off as the step count reaches it.  The block matrices
-    are then multiplied in Python ints, later blocks on the left.
+    Each segment is cut into blocks of `block` steps, by default _BLOCK_STEPS, fewer when
+    sqrt(steps)/3 over all segments is smaller, and more where that would pass _MAX_LANES
+    blocks in all.  Every block is one lane of a numpy lockstep of 2x2 matrices that
+    starts from the identity and a**start; a step takes the top row to top + a**k * bottom
+    and the bottom row to the old top, so no entry passes p*(p - 1), the step bound of
+    dtype (int64 lanes run as uint64).  When all segments share one modulus it is a numpy
+    scalar, and the lockstep reduces by x -= x // p * p, which numpy runs as a multiply
+    and a shift; several moduli reduce by % with a column of one modulus a lane.  A
+    segment's last block, which may be short, is read off as the step count reaches it.
+
+    The block matrices are multiplied in a pairwise tree, one matmul a round over lanes
+    (0, 1), (2, 3), ... of every segment, later blocks on the left.  The tree runs in
+    uint64, where an entry is at most 2(p - 1)**2 < 2**64 for p <= RECURRENCE_MAX_P, and
+    in Python ints past that.  Segments go longest first, each padded with identities to a
+    power of two lanes, so the segments still pairing are a prefix of the lanes.  The
+    lanes' start powers a**(k0 + j*block) come down the same tree: in round t, lane 2m + 1
+    starts g**(2**t) steps of a after lane 2m, g = a**block.
     """
-    block = block or max(1, int(sum(k1 - k0 for _, _, k0, k1 in segments) ** 0.5) // 2)
-    lanes = [(i, p, a, pow(a, start, p), min(block, k1 - start))
-             for i, (p, a, k0, k1) in enumerate(segments) for start in range(k0, k1, block)]
-    owner, mods, alphas, powers, steps = zip(*lanes) if lanes else ((),) * 5
-    P, A, PW = (np.array(column, dtype=dtype) for column in (mods, alphas, powers))
-    top = np.zeros((2, len(lanes)), dtype=dtype)
-    bottom = np.zeros_like(top)
-    top[0] = bottom[1] = 1
+    if not segments:  # the empty side of qfib_mod_recurrence_many's uint32 cut
+        return []
+    dtype = np.uint64 if dtype is np.int64 else dtype
+    wide = object if dtype is object else np.uint64
+    lengths = np.array([k1 - k0 for *_, k0, k1 in segments], dtype=np.int64)
+    steps = int(lengths.sum())
+    block = block or max(min(_BLOCK_STEPS, isqrt(steps) // 3), -(-steps // _MAX_LANES), 1)
+    order = np.argsort(-lengths, kind="stable")
+    segments = [segments[i] for i in order]
+    lengths = lengths[order]
+    counts = -(-lengths // block)
+    widths = [1 << (c - 1).bit_length() if c else 0 for c in counts.tolist()]
+    padding = np.array(widths, dtype=np.int64) - counts
+    pad_at = np.arange(counts.sum()) + np.repeat(np.cumsum(padding) - padding, counts)
+    # pairs[t]: each segment's lane pairs in round t of the tree, 0 once it is down to one
+    pairs = [[w >> t + 1 if w >> t > 1 else 0 for w in widths]
+             for t in range(max(widths, default=1).bit_length() - 1)]
+    mods = [p for p, *_ in segments]
+    P = _column(mods, dtype)
+    # the start powers, from the top of the tree down
+    G = [_column([pow(a, block, p) for p, a, *_ in segments], dtype)]
+    for _ in pairs[1:]:
+        G.append(_reduce(G[-1] * G[-1], P))
+    PW = np.array([pow(a, k0, p) for (p, a, k0, _), n in zip(segments, counts) if n], dtype=dtype)
+    for half, g in zip(reversed(pairs), reversed(G)):
+        n = sum(half)
+        split = np.empty(len(PW) + n, dtype=dtype)
+        split[0:2 * n:2] = PW[:n]
+        split[1:2 * n:2] = _reduce(PW[:n] * _lanes(g, half), _lanes(P, half))
+        split[2 * n:] = PW[n:]
+        PW = split
+    # rows 0-1 and 3-4 hold a lane's two matrix rows, the one a step rewrites alternating,
+    # and row 2 its power a**k, so that each step reduces three adjacent rows in one call
+    R = np.zeros((5, len(pad_at)), dtype=dtype)
+    R[1] = R[3] = 1
+    R[2] = PW[pad_at]
+    halves = ((R[3:5], R[0:2], R[2:5]), (R[0:2], R[3:5], R[0:3]))
+    A = _lanes(_column([a for _, a, *_ in segments], dtype), counts)
+    lane_P = _lanes(P, counts)
+    last = lengths - (counts - 1) * block
+    is_short = (counts > 0) & (last < block)
     short: dict[int, list[int]] = {}
-    for j, n in enumerate(steps):
-        if n < block:
-            short.setdefault(n, []).append(j)
-    early = [None] * len(lanes)
-    for k in range(1, max(steps, default=0) + 1):
-        bottom *= PW
-        bottom += top
-        bottom %= P
-        top, bottom = bottom, top
-        PW *= A
-        PW %= P
-        for j in short.get(k, ()):
-            early[j] = (int(top[0, j]), int(top[1, j]), int(bottom[0, j]), int(bottom[1, j]))
+    for n, j in zip(last[is_short].tolist(), (np.cumsum(counts) - 1)[is_short].tolist()):
+        short.setdefault(n, []).append(j)
+    early = []
+    scratch = np.empty((3, len(pad_at)), dtype)
+    k = 0
+    for k in range(1, int(np.minimum(lengths, block).max(initial=0)) + 1):
+        top, bottom, rows = halves[k % 2]
+        top *= R[2]
+        top += bottom
+        R[2] *= A
+        _reduce(rows, lane_P, scratch)
+        if k in short:
+            early.append((short[k], top[:, short[k]], bottom[:, short[k]]))
+    lanes = np.stack(halves[k % 2][:2])
+    for j, t, b in early:
+        lanes[0][:, j], lanes[1][:, j] = t, b
+    # the tree; pad_at maps each lockstep lane to its place among the padded lanes
+    M = np.zeros((sum(widths), 2, 2), dtype=wide)
+    M[:, 0, 0] = M[:, 1, 1] = 1
+    M[pad_at] = lanes.transpose(2, 0, 1)
+    P = _column(mods, wide)
+    for half in pairs:
+        n = 2 * sum(half)
+        mod = _lanes(P, half)
+        product = _reduce(np.matmul(M[1:n:2], M[0:n:2]), mod if np.ndim(mod) == 0 else
+                          mod[:, None, None])
+        M = np.concatenate((product, M[n:])) if n < len(M) else product
     products = [(1, 0, 0, 1)] * len(segments)
-    for i, p, done, full in zip(owner, mods, early, zip(*top.tolist(), *bottom.tolist())):
-        products[i] = _mat_mul(done or full, products[i], p)
+    for i, m in zip(order[counts > 0].tolist(), M.reshape(-1, 4).tolist()):
+        products[i] = tuple(m)
     return products
+
+
+def _column(values: list[int], dtype: type) -> np.generic | np.ndarray:
+    """values, one a segment, in dtype: one scalar when they are all equal."""
+    if values and values.count(values[0]) == len(values):
+        return np.dtype(dtype).type(values[0])
+    return np.array(values, dtype=dtype)
+
+
+def _lanes(column: np.generic | np.ndarray, counts: np.ndarray) -> np.generic | np.ndarray:
+    """A segment column's entry for each lane, counts[i] lanes of segment i in turn; a
+    scalar stands for every lane."""
+    return column if np.ndim(column) == 0 else np.repeat(column, counts)
+
+
+def _reduce(x: np.ndarray, P: np.generic | np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x mod P in place, x >= 0, with out as scratch of x's shape if given.  By a numpy
+    integer scalar, x -= x // P * P: numpy divides by a scalar with a multiply and a shift
+    (libdivide), but runs % as one hardware division an element, as it does // by an array."""
+    if isinstance(P, np.integer):
+        quotient = np.floor_divide(x, P, out=out)
+        quotient *= P
+        x -= quotient
+    else:
+        x %= P
+    return x
 
 
 def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list[int]:

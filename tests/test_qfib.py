@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfibcong import qfib
 from qfibcong.errors import DomainError, InternalInvariantViolation
@@ -268,21 +268,63 @@ def test_block_kernel_matches_the_oracle_for_every_alpha():
         assert [m[0] for m in products] == [qfib_mod_scalar(p, a, p) for a in range(p)], p
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(_ODD_PRIMES).flatmap(lambda p: st.tuples(
-    st.just(p), st.integers(0, p - 1),
-    st.one_of(st.sampled_from((1, p - 1, p, p + 1, 3 * p)), st.integers(1, 2 * p)),
-    st.integers(0, 2 * p), st.integers(0, 2 * p))),
-    st.sampled_from((np.uint32, np.int64, object)))
-def test_block_kernel_matches_the_oracle_on_drawn_blocks(drawn, dtype):
-    # one prime's p - 1 steps and a second segment [k0, k1), in blocks of L steps (L = 1,
-    # L = p - 1 and L >= p included), against the oracle and the plain matrix product
-    p, a, block, k0, k1 = drawn
-    k0, k1 = sorted((k0, k1))
-    whole, segment = _block_products([(p, a, 0, p - 1), (p, a, k0, k1)], dtype, block)
-    assert whole[0] == qfib_mod_scalar(p, a, p)
-    assert whole == step_product(p, a, 0, p - 1)
-    assert segment == step_product(p, a, k0, k1)
+# the largest prime <= RECURRENCE_MAX_P, and the primes on either side of the uint32 cut
+_TOP_PRIME = 3_037_000_493
+_EDGE_PRIMES = (65_521, 65_537, _TOP_PRIME)
+
+
+@st.composite
+def _segment(draw, p):
+    # (p, a, k0, k1); the edge primes only on short segments, which the oracle can walk
+    a = draw(st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1)))
+    if p in _EDGE_PRIMES:
+        k0 = draw(st.one_of(st.sampled_from((0, p - 41)), st.integers(0, p - 1)))
+        return p, a, k0, k0 + draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        return p, a, 0, p - 1
+    k0, k1 = sorted(draw(st.lists(st.integers(0, 2 * p), min_size=2, max_size=2)))
+    return p, a, k0, k1
+
+
+@st.composite
+def _batch(draw):
+    # one modulus for every segment, or one drawn for each
+    primes = st.one_of(st.sampled_from(_ODD_PRIMES), st.sampled_from(_EDGE_PRIMES))
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        ps = [draw(primes)] * n
+    else:
+        ps = draw(st.lists(primes, min_size=n, max_size=n))
+    segments = [draw(_segment(p)) for p in ps]
+    longest = max(k1 - k0 for *_, k0, k1 in segments)
+    block = draw(st.one_of(st.none(), st.sampled_from((1, 2, 3, longest + 1)),
+                           st.integers(1, longest + 1)))
+    dtype = draw(st.sampled_from([t for t, bound in ((np.uint32, _UINT32_MAX_P),
+                                                     (np.int64, RECURRENCE_MAX_P), (object, None))
+                                  if bound is None or max(ps) <= bound]))
+    return segments, dtype, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batch())
+@example(([(101, 2, 0, 0), (101, 2, 5, 5), (103, 3, 0, 0)], np.uint32, None))  # no steps at all
+@example(([(101, a, 0, 100) for a in (0, 1, 100)] + [(101, 7, 3, 3)], np.int64, 7))
+@example(([(101, 2, 0, 100), (103, 5, 7, 95), (107, 106, 1, 2), (109, 0, 0, 0)], np.uint32, 3))
+@example(([(65_521, 65_520, 65_480, 65_520), (65_521, 3, 0, 40)], np.uint32, 6))
+@example(([(65_521, 65_520, 65_480, 65_520), (65_537, 65_536, 65_490, 65_536)], np.int64, 1))
+@example(([(_TOP_PRIME, _TOP_PRIME - 1, _TOP_PRIME - 41, _TOP_PRIME - 1), (_TOP_PRIME, 2, 0, 40),
+           (_TOP_PRIME, 1, 12_345, 12_390)], np.int64, 3))
+@example(([(_TOP_PRIME, _TOP_PRIME - 1, 7, 47), (101, 100, 0, 100)], object, 200))
+def test_block_kernel_matches_the_oracle_on_drawn_blocks(batch):
+    # one modulus (the scalar reduction) or several (% by the lane column); zero-length
+    # segments, lane counts that are not powers of two, block 1, blocks past every segment
+    # and the default; against the plain matrix product, and F_p for a whole period
+    segments, dtype, block = batch
+    products = _block_products(segments, dtype, block)
+    assert products == [step_product(*s) for s in segments]
+    for (p, a, k0, k1), product in zip(segments, products):
+        if (k0, k1) == (0, p - 1):
+            assert product[0] == qfib_mod_scalar(p, a, p)
 
 
 def test_qfib_mod_recurrence_folds_by_the_period():
@@ -307,6 +349,16 @@ def test_uint32_lanes_hold_every_step_below_their_bound():
     for q, fits in ((p, True), (p + 1, False)):
         t = np.array([q - 1], dtype=np.uint32)
         assert (int((t + t * t)[0]) == q * (q - 1)) is fits
+
+
+def test_uint64_tree_holds_every_product_below_its_bound():
+    # the tree multiplies 2x2 block matrices in uint64: an entry a*e + b*g of two matrices
+    # with entries up to p - 1 is at most 2(p - 1)**2, below 2**64 up to RECURRENCE_MAX_P
+    p = RECURRENCE_MAX_P
+    for q, fits in ((p, True), (p + 1, False)):
+        x = np.full((1, 2, 2), q - 1, dtype=np.uint64)
+        assert (2 * (q - 1) ** 2 < 2**64) is fits
+        assert (int(np.matmul(x, x)[0, 0, 0]) == 2 * (q - 1) ** 2) is fits
 
 
 def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
