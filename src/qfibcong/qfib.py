@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import count, islice
-from math import isqrt
 from operator import add
 
 import numpy as np
@@ -33,18 +32,17 @@ _UINT32_MAX_P = 65_536
 # the rescaled lockstep, whose step does 1.5 multiply-mods a lane against the matrix
 # lane's 3.  Blocked/rescaled time, alpha 2, best of 3 in two sweeps pinned to one core of
 # a Xeon VM (numpy 2.4, Python 3.11), on consecutive primes from 2e4, 5e4 (uint32) and
-# 1e5 (int64): 0.43-0.73 at 128 primes, 0.51-0.96 at 192, 0.71-0.91 (uint32) and
-# 0.88-1.07 (int64) at 256, 0.76-1.11 and 1.07-1.21 at 384.  One prime alone runs blocked
-# at every size: below p = 2,000 a scalar loop was faster, by at most 0.2 ms.
+# 1e5 (int64): 0.63-0.72 (uint32) and 0.86-0.96 (int64) at 128 primes, 0.83-0.90 and
+# 1.10-1.13 at 192, 0.94-1.04 and 1.18-1.28 at 256, 1.17-1.24 and 1.43-1.47 at 384.  The
+# floor sits at the uint32 crossover, above the int64 one.  One prime alone runs blocked
+# at every size: below p = 2,000 a scalar loop was faster, by at most 0.3 ms.
 _WIDE_MIN_BATCH = 256
 
-# The blocked kernel's default block: _BLOCK_STEPS steps a lane, fewer below 14,400 steps
-# a call, and as many more as keep a call within _MAX_LANES lanes, so that it holds
-# a few MB at any p.  On the same core, four primes each near 2e4, 8e4 and 1.4e5 took
-# 10.5-10.9 ms in all (best of 15) in blocks of 40 or 48 steps, 11.2-11.7 ms in blocks of
-# 24 or 64, and 11.9-12.1 ms in blocks of 32, where the tree pads 4,376 lanes to 8,192.
-# p = 101, 1,009 and 4,999 took 0.17, 0.22-0.23 and 0.28-0.29 ms in blocks of 5 to 14
-# steps, against 0.29, 0.33 and 0.39 ms in blocks of 40.  One prime near 1e7 ran at 115M,
+# The blocked kernel's default block: _BLOCK_STEPS steps a lane, or as many more as keep
+# a call within _MAX_LANES lanes, so that it holds a few MB at any p.  On the same core,
+# four primes each near 2e4, 8e4 and 1.4e5 took 10.5-10.9 ms in all (best of 15) in
+# blocks of 40 or 48 steps, 11.2-11.7 ms in blocks of 24 or 64, and 11.9-12.1 ms in
+# blocks of 32, where the tree pads 4,376 lanes to 8,192.  One prime near 1e7 ran at 115M,
 # 129M, 135M and 123M element-steps/s on 4,096, 8,192, 16,384 and 32,768 lanes, and one
 # near 1e8 at 128M, 138M and 126M on the last three.
 _BLOCK_STEPS = 40
@@ -120,14 +118,13 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     (p, a, k0, k1), 0 <= k0 <= k1: the exact block-product form of Bostan, Gaudry and
     Schost (SIAM J. Comput. 36(6), 2007), without their polynomial baby steps.
 
-    Each segment is cut into blocks of `block` steps, by default _BLOCK_STEPS, fewer when
-    sqrt(steps)/3 over all segments is smaller, and more where that would pass _MAX_LANES
-    blocks in all.  Every block is one lane of a numpy lockstep of 2x2 matrices that
-    starts from the identity and a**start; a step takes the top row to top + a**k * bottom
-    and the bottom row to the old top, so no entry passes p*(p - 1), the step bound of
-    dtype (int64 lanes run as uint64).  When all segments share one modulus it is a numpy
-    scalar, and the lockstep reduces by x -= x // p * p, which numpy runs as a multiply
-    and a shift; several moduli reduce by % with a column of one modulus a lane.  A
+    Each segment is cut into blocks of `block` steps, by default _BLOCK_STEPS, or more
+    where that would pass _MAX_LANES blocks in all.  Every block is one lane of a numpy
+    lockstep of 2x2 matrices that starts from the identity and a**start; a step takes the
+    top row to top + a**k * bottom and the bottom row to the old top, so no entry passes
+    p*(p - 1), the step bound of dtype (int64 lanes run as uint64).  The lockstep reduces
+    by _reduce, by one numpy scalar when all segments share a modulus, which numpy divides
+    by with a multiply and a shift, and else by a column of one modulus a lane.  A
     segment's last block, which may be short, is read off as the step count reaches it.
 
     The block matrices are multiplied in a pairwise tree, one matmul a round over lanes
@@ -144,7 +141,7 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     wide = object if dtype is object else np.uint64
     lengths = np.array([k1 - k0 for *_, k0, k1 in segments], dtype=np.int64)
     steps = int(lengths.sum())
-    block = block or max(min(_BLOCK_STEPS, isqrt(steps) // 3), -(-steps // _MAX_LANES), 1)
+    block = block or max(_BLOCK_STEPS, -(-steps // _MAX_LANES))
     order = np.argsort(-lengths, kind="stable")
     segments = [segments[i] for i in order]
     lengths = lengths[order]
@@ -160,7 +157,7 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     # the start powers, from the top of the tree down
     G = [_column([pow(a, block, p) for p, a, *_ in segments], dtype)]
     for _ in pairs[1:]:
-        G.append(_reduce(G[-1] * G[-1], P))
+        G.append(G[-1] * G[-1] % P)
     PW = np.array([pow(a, k0, p) for (p, a, k0, _), n in zip(segments, counts) if n], dtype=dtype)
     for half, g in zip(reversed(pairs), reversed(G)):
         n = sum(half)
@@ -226,17 +223,19 @@ def _lanes(column: np.generic | np.ndarray, counts: np.ndarray) -> np.generic | 
     return column if np.ndim(column) == 0 else np.repeat(column, counts)
 
 
-def _reduce(x: np.ndarray, P: np.generic | np.ndarray,
+def _reduce(x: np.ndarray, P: int | np.generic | np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-    """x mod P in place, x >= 0, with out as scratch of x's shape if given.  By a numpy
-    integer scalar, x -= x // P * P: numpy divides by a scalar with a multiply and a shift
-    (libdivide), but runs % as one hardware division an element, as it does // by an array."""
-    if isinstance(P, np.integer):
-        quotient = np.floor_divide(x, P, out=out)
-        quotient *= P
-        x -= quotient
-    else:
+    """x mod P in place, x >= 0, with out as scratch of x's shape if given.  numpy lanes
+    reduce as x -= x // P * P: numpy divides by an integer scalar with a multiply and a
+    shift (libdivide), but runs % by it as one hardware division an element, as it does //
+    by an array.  Python-int lanes keep %: the subtraction's three operations an element
+    took them 1.6 times as long (10**6 steps mod 10**12 + 39)."""
+    if x.dtype == object:
         x %= P
+        return x
+    quotient = np.floor_divide(x, P, out=out)
+    quotient *= P
+    x -= quotient
     return x
 
 
