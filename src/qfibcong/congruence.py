@@ -291,21 +291,21 @@ def proposition_values(p: np.ndarray, a: np.ndarray, d: np.ndarray,
     primes p up to RECURRENCE_MAX_P, alpha = a mod p of order d and index I = (p - 1)/d,
     as int64 columns.
 
-    Exponents (p - 1 - 2k*ord)/10 are always integral for k in S1 but may
-    be negative; they act through alpha**(p-1) = 1, so they are reduced
-    mod p - 1.
+    Both powers of alpha are signs that the residual data fixes, as alpha**d = 1 and, for
+    even d, alpha**(d/2) = -1.  Euler's criterion (a/p) = alpha**(dI/2) is 1 for even I and
+    -1 for odd I.  S1 is one class mod 5, whose exponents (p - 1 - 2k*d)/10 step by d, so
+    every term has its least one's power alpha**(e/10), e = d(I - 2*k1), which may be
+    negative.  10 | e with 5 not dividing d gives 5 | I - 2*k1, so alpha**(e/10) is
+    (-1)**((I - 2*k1)/5) for even d; for odd d, I = (p - 1)/d is even, and so is that.
     """
-    euler = _powmod(a, (p - 1) // 2, p)  # (a/p) by Euler's criterion; p is prime
     k1, sum1, sum2 = s_set_sums(p, d, index)
-    # 5 does not divide ord, so S1 is one residue class mod 5: its
-    # exponents step down by 2*5*ord/10 = ord, and alpha**ord = 1
-    # gives every S1 term the power of the first.
     has1 = k1 >= 0
-    e = p - 1 - 2 * k1 * d
-    if (e[has1] % 10 != 0).any():
+    fifth, rest = np.divmod(index - 2 * k1, 5)
+    if (rest[has1] != 0).any():
         raise InternalInvariantViolation("S1 exponent must be divisible by 10")
-    s1 = np.where(has1, _powmod(a, (e // 10) % (p - 1), p) * sum1 % p, 0)
-    return ((p - euler) * sum2 % p + s1) % p  # S2's term is -(a/p) * sum2
+    s1 = np.where(has1, np.where(fifth % 2 == 1, p - sum1, sum1), 0)
+    s2 = np.where(index % 2 == 1, sum2, p - sum2)  # S2's term is -(a/p) * sum2
+    return (s1 + s2) % p
 
 
 def _lane(rd: ResidualData) -> list[np.ndarray]:

@@ -18,23 +18,23 @@ import numpy as np
 from .errors import DomainError, InternalInvariantViolation
 from .qanalogue import _context
 
-# The largest p with p*(p - 1) <= 2**63 - 1.  A recurrence step computes
-# F1 + PW*F0, or V0 + W*V1 in the rescaled lockstep, with every term below p in int64,
-# so past it the step wraps.
+# The largest p with p*(p - 1) <= 2**63 - 1, past which the int64 lanes that classify a
+# window wrap.  The kernel's 64-bit lanes are unsigned: uint64 holds a step, below p*(p - 1),
+# and an entry of the block-matrix tree, at most 2(p - 1)**2 < 2**64.
 RECURRENCE_MAX_P = 3_037_000_500
 
 # The largest p with p*(p - 1) <= 2**32 - 1, by the same step bound: primes up
 # to it run the lockstep in uint32, whose multiply and % cost about half of
-# int64's, and the primes above it in int64.
+# uint64's, and the primes above it in uint64.
 _UINT32_MAX_P = 65_536
 
 # Batches of fewer primes than this run the blocked kernel (_block_products), wider ones
 # the rescaled lockstep, whose step does 1.5 multiply-mods a lane against the matrix
 # lane's 3.  Blocked/rescaled time, alpha 2, best of 3 in two sweeps pinned to one core of
 # a Xeon VM (numpy 2.4, Python 3.11), on consecutive primes from 2e4, 5e4 (uint32) and
-# 1e5 (int64): 0.63-0.72 (uint32) and 0.86-0.96 (int64) at 128 primes, 0.83-0.90 and
+# 1e5 (uint64): 0.63-0.72 (uint32) and 0.86-0.96 (uint64) at 128 primes, 0.83-0.90 and
 # 1.10-1.13 at 192, 0.94-1.04 and 1.18-1.28 at 256, 1.17-1.24 and 1.43-1.47 at 384.  The
-# floor sits at the uint32 crossover, above the int64 one.  One prime alone runs blocked
+# floor sits at the uint32 crossover, above the uint64 one.  One prime alone runs blocked
 # at every size: below p = 2,000 a scalar loop was faster, by at most 0.3 ms.
 _WIDE_MIN_BATCH = 256
 
@@ -79,14 +79,20 @@ def qfib_mod_recurrence(n: int, a: int, p: int) -> int:
     whole periods and then r steps: one period runs in the blocked kernel, split at r,
     and the period's product is raised to the q-th power by squaring.  A modulus for
     which a**(p - 1) = 1 fails runs all n - 1 steps.  At a = 0 mod p every M_k past M_0
-    is [[1, 0], [1, 0]], so F_n = 1 for every n >= 1.
+    is [[1, 0], [1, 0]], so F_n = 1 for every n >= 1.  A modulus past RECURRENCE_MAX_P
+    runs a Python-int loop with no fold, as the CLI asks for it only with n < p.
     """
     if n < 0:
         raise DomainError(f"qfib_mod_recurrence needs n >= 0, got {n}")
     a %= p
     if n == 0 or a == 0:
         return min(n, 1)
-    dtype = np.uint32 if p <= _UINT32_MAX_P else np.int64 if p <= RECURRENCE_MAX_P else object
+    if p > RECURRENCE_MAX_P:
+        f0, f1, pw = 0, 1, 1  # F_k, F_{k+1}, a**k
+        for _ in range(n - 1):
+            f0, f1, pw = f1, (f1 + pw * f0) % p, pw * a % p
+        return f1
+    dtype = np.uint32 if p <= _UINT32_MAX_P else np.uint64
     q, r = divmod(n - 1, p - 1)
     if q and pow(a, p - 1, p) == 1:
         head, rest = _block_products([(p, a, 0, r), (p, a, r, p - 1)], dtype)
@@ -122,23 +128,21 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     where that would pass _MAX_LANES blocks in all.  Every block is one lane of a numpy
     lockstep of 2x2 matrices that starts from the identity and a**start; a step takes the
     top row to top + a**k * bottom and the bottom row to the old top, so no entry passes
-    p*(p - 1), the step bound of dtype (int64 lanes run as uint64).  The lockstep reduces
+    p*(p - 1), the step bound of dtype, uint32 or uint64.  The lockstep reduces
     by _reduce, by one numpy scalar when all segments share a modulus, which numpy divides
     by with a multiply and a shift, and else by a column of one modulus a lane.  A
     segment's last block, which may be short, is read off as the step count reaches it.
 
     The block matrices are multiplied in a pairwise tree, one matmul a round over lanes
     (0, 1), (2, 3), ... of every segment, later blocks on the left.  The tree runs in
-    uint64, where an entry is at most 2(p - 1)**2 < 2**64 for p <= RECURRENCE_MAX_P, and
-    in Python ints past that.  Segments go longest first, each padded with identities to a
-    power of two lanes, so the segments still pairing are a prefix of the lanes.  The
-    lanes' start powers a**(k0 + j*block) come down the same tree: in round t, lane 2m + 1
-    starts g**(2**t) steps of a after lane 2m, g = a**block.
+    uint64, where an entry is at most 2(p - 1)**2 < 2**64 for p <= RECURRENCE_MAX_P.
+    Segments go longest first, each padded with identities to a power of two lanes, so the
+    segments still pairing are a prefix of the lanes.  The lanes' start powers
+    a**(k0 + j*block) come down the same tree: in round t, lane 2m + 1 starts g**(2**t)
+    steps of a after lane 2m, g = a**block.
     """
     if not segments:  # the empty side of qfib_mod_recurrence_many's uint32 cut
         return []
-    dtype = np.uint64 if dtype is np.int64 else dtype
-    wide = object if dtype is object else np.uint64
     lengths = np.array([k1 - k0 for *_, k0, k1 in segments], dtype=np.int64)
     steps = int(lengths.sum())
     block = block or max(_BLOCK_STEPS, -(-steps // _MAX_LANES))
@@ -194,10 +198,10 @@ def _block_products(segments: list[tuple[int, int, int, int]], dtype: type,
     for j, t, b in early:
         lanes[0][:, j], lanes[1][:, j] = t, b
     # the tree; pad_at maps each lockstep lane to its place among the padded lanes
-    M = np.zeros((sum(widths), 2, 2), dtype=wide)
+    M = np.zeros((sum(widths), 2, 2), dtype=np.uint64)
     M[:, 0, 0] = M[:, 1, 1] = 1
     M[pad_at] = lanes.transpose(2, 0, 1)
-    P = _column(mods, wide)
+    P = _column(mods, np.uint64)
     for half in pairs:
         n = 2 * sum(half)
         mod = _lanes(P, half)
@@ -225,14 +229,9 @@ def _lanes(column: np.generic | np.ndarray, counts: np.ndarray) -> np.generic | 
 
 def _reduce(x: np.ndarray, P: int | np.generic | np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-    """x mod P in place, x >= 0, with out as scratch of x's shape if given.  numpy lanes
-    reduce as x -= x // P * P: numpy divides by an integer scalar with a multiply and a
-    shift (libdivide), but runs % by it as one hardware division an element, as it does //
-    by an array.  Python-int lanes keep %: the subtraction's three operations an element
-    took them 1.6 times as long (10**6 steps mod 10**12 + 39)."""
-    if x.dtype == object:
-        x %= P
-        return x
+    """x mod P in place, x >= 0, as x -= x // P * P with out as scratch of x's shape if
+    given: numpy divides by an integer scalar with a multiply and a shift (libdivide), but
+    runs % by it as one hardware division an element, as it does // by an array."""
     quotient = np.floor_divide(x, P, out=out)
     quotient *= P
     x -= quotient
@@ -243,7 +242,7 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
     """F_p(alpha_p) mod p for an ascending batch of odd primes, each alpha_p in [0, p).
 
     The batch is split once at _UINT32_MAX_P, and each part runs in the
-    narrowest lanes its step values fit: uint32 below the split, int64 above.
+    narrowest lanes its step values fit: uint32 below the split, uint64 above.
     """
     if max(primes, default=0) > RECURRENCE_MAX_P:
         raise DomainError(f"the recurrence kernel needs p <= {RECURRENCE_MAX_P}, got {max(primes)}")
@@ -253,7 +252,7 @@ def qfib_mod_recurrence_many(primes: list[int], alpha_values: list[int]) -> list
         raise DomainError("the recurrence kernel needs odd primes")
     cut = bisect_right(primes, _UINT32_MAX_P)
     return (_recurrence_lanes(primes[:cut], alpha_values[:cut], np.uint32)
-            + _recurrence_lanes(primes[cut:], alpha_values[cut:], np.int64))
+            + _recurrence_lanes(primes[cut:], alpha_values[cut:], np.uint64))
 
 
 def _recurrence_lanes(primes: list[int], alpha_values: list[int], dtype: type) -> list[int]:

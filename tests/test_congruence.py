@@ -1,6 +1,7 @@
 import concurrent.futures.process
 import contextlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -217,6 +218,39 @@ def test_proposition_matches_recurrence_exhaustively():
             want = qfib_mod_recurrence(p, rd.alpha_res, p)
             assert qfib_mod_proposition(rd) == want, (a, p)
     assert multi > 100
+
+
+_PROP_PRIMES = primes_trial(3000)[1:]
+
+
+@st.composite
+def _unit_lane(draw):
+    """(p, a, d): an odd prime p < 3000 and a unit a of order d > 1 mod p, 5 not dividing d."""
+    p = draw(st.sampled_from(_PROP_PRIMES))
+    d = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0 and d % 5]))
+    k = draw(st.sampled_from([k for k in range(1, d) if math.gcd(k, d) == 1]))
+    g = next(g for g in range(2, p) if multiplicative_order(g, p) == p - 1)
+    return p, pow(g, (p - 1) // d * k, p), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_lane())
+@example((29, 12, 4))  # d even, I = 7 odd, and S1's e = -20
+@example((7, 2, 3))  # d odd, I = 2 even
+@example((17, 2, 8))  # d even, I = 2 even
+def test_proposition_signs_match_the_modular_powers(lane):
+    # Euler's criterion and S1's power alpha**(e/10), which proposition_values reads off the
+    # parities of I and (I - 2*k1)/5, against Python's pow; a negative e acts through a**-1
+    p, a, d = lane
+    index = (p - 1) // d
+    assert pow(a, (p - 1) // 2, p) == (1 if index % 2 == 0 else p - 1)
+    k1 = congruence.s_set_sums(*(np.array([v]) for v in (p, d, index)))[0].tolist()[0]
+    if k1 >= 0:
+        e = p - 1 - 2 * k1 * d
+        assert e % 10 == 0 and (index - 2 * k1) % 5 == 0
+        assert pow(a, e // 10, p) == (p - 1 if d % 2 == 0 and (index - 2 * k1) // 5 % 2 else 1)
+    got = congruence.proposition_values(*(np.array([v]) for v in (p, a, d, index)))
+    assert got.tolist() == [qfib_mod_recurrence(p, a, p)]
 
 
 def test_verify_theorem_examples():

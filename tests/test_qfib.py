@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qfibcong import qfib
 from qfibcong.errors import DomainError, InternalInvariantViolation
-from qfibcong.modarith import lsym5, multiplicative_order
+from qfibcong.modarith import is_prime, lsym5, multiplicative_order
 from qfibcong.qfib import (
     POLY_MAX_N,
     RECURRENCE_MAX_P,
@@ -232,7 +232,8 @@ def test_g_value_period_five_symmetry():
 def test_recurrence_kernel_refuses_primes_past_int64():
     p = RECURRENCE_MAX_P
     assert p * (p - 1) <= 2**63 - 1 < (p + 1) * p
-    # the kernel's largest step value F1 + PW*F0, all terms p - 1, fits at p and wraps past it
+    # a step value F1 + PW*F0, all terms p - 1, fits the int64 lanes that classify a window
+    # at p and wraps past it
     for q, fits in ((p, True), (p + 1, False)):
         t = np.array([q - 1], dtype=np.int64)
         assert (int((t + t * t)[0]) == q * (q - 1)) is fits
@@ -299,22 +300,19 @@ def _batch(draw):
     longest = max(k1 - k0 for *_, k0, k1 in segments)
     block = draw(st.one_of(st.none(), st.sampled_from((1, 2, 3, longest + 1)),
                            st.integers(1, longest + 1)))
-    dtype = draw(st.sampled_from([t for t, bound in ((np.uint32, _UINT32_MAX_P),
-                                                     (np.int64, RECURRENCE_MAX_P), (object, None))
-                                  if bound is None or max(ps) <= bound]))
+    dtype = draw(st.sampled_from((np.uint32, np.uint64) if max(ps) <= _UINT32_MAX_P else (np.uint64,)))
     return segments, dtype, block
 
 
 @settings(max_examples=150, deadline=None)
 @given(_batch())
 @example(([(101, 2, 0, 0), (101, 2, 5, 5), (103, 3, 0, 0)], np.uint32, None))  # no steps at all
-@example(([(101, a, 0, 100) for a in (0, 1, 100)] + [(101, 7, 3, 3)], np.int64, 7))
+@example(([(101, a, 0, 100) for a in (0, 1, 100)] + [(101, 7, 3, 3)], np.uint64, 7))
 @example(([(101, 2, 0, 100), (103, 5, 7, 95), (107, 106, 1, 2), (109, 0, 0, 0)], np.uint32, 3))
 @example(([(65_521, 65_520, 65_480, 65_520), (65_521, 3, 0, 40)], np.uint32, 6))
-@example(([(65_521, 65_520, 65_480, 65_520), (65_537, 65_536, 65_490, 65_536)], np.int64, 1))
+@example(([(65_521, 65_520, 65_480, 65_520), (65_537, 65_536, 65_490, 65_536)], np.uint64, 1))
 @example(([(_TOP_PRIME, _TOP_PRIME - 1, _TOP_PRIME - 41, _TOP_PRIME - 1), (_TOP_PRIME, 2, 0, 40),
-           (_TOP_PRIME, 1, 12_345, 12_390)], np.int64, 3))
-@example(([(_TOP_PRIME, _TOP_PRIME - 1, 7, 47), (101, 100, 0, 100)], object, 200))
+           (_TOP_PRIME, 1, 12_345, 12_390)], np.uint64, 3))
 def test_block_kernel_matches_the_oracle_on_drawn_blocks(batch):
     # one modulus (the scalar reduction) or several (% by the lane column); zero-length
     # segments, lane counts that are not powers of two, block 1, blocks past every segment
@@ -338,9 +336,12 @@ def test_qfib_mod_recurrence_folds_by_the_period():
     for p, n in ((7, 100_003), (65_537, 300_001), (1_000_003, 2_000_010)):
         a = rng.randrange(2, p)
         assert qfib_mod_recurrence(n, a, p) == qfib_mod_scalar(n, a, p), (n, a, p)
-    # moduli past RECURRENCE_MAX_P run in Python-int lanes
-    p = 10**12 + 39
-    assert [qfib_mod_recurrence(n, 3, p) for n in range(300)] == qfib_seq_mod(299, 3, p)
+    # moduli past RECURRENCE_MAX_P run a Python-int loop: the smallest prime past the
+    # bound, and one far past it
+    assert [q for q in range(RECURRENCE_MAX_P, 3_037_000_508) if is_prime(q)] == [3_037_000_507]
+    for p in (3_037_000_507, 10**12 + 39):
+        for a in (0, 1, p - 1, rng.randrange(2, p - 1)):
+            assert [qfib_mod_recurrence(n, a, p) for n in range(300)] == qfib_seq_mod(299, a, p), (a, p)
 
 
 def test_uint32_lanes_hold_every_step_below_their_bound():
@@ -378,8 +379,8 @@ def test_recurrence_kernel_on_both_sides_of_the_uint32_bound():
         for hi in (1, 3, len(above)):
             ps = small[:max(0, lo - len(below))] + below[-lo:] + above[:hi]
             assert qfib_mod_recurrence_many(ps, [alphas[p] for p in ps]) == [expected[p] for p in ps], (lo, hi)
-    # a wide batch in int64 lanes, on primes small enough for the oracle
-    assert _recurrence_lanes(small + below, [alphas[p] for p in small + below], np.int64) == [
+    # a wide batch in uint64 lanes, on primes small enough for the oracle
+    assert _recurrence_lanes(small + below, [alphas[p] for p in small + below], np.uint64) == [
         expected[p] for p in small + below]
 
 
@@ -392,7 +393,7 @@ def test_rescaled_wide_path_matches_the_oracle_for_every_alpha():
             break
         alphas = list(range(p)) * -(-m // p)
         expected = [qfib_mod_scalar(p, a, p) for a in range(p)] * -(-m // p)
-        for dtype in (np.uint32, np.int64):
+        for dtype in (np.uint32, np.uint64):
             assert _recurrence_lanes([p] * len(alphas), alphas, dtype) == expected, (p, dtype)
 
 
@@ -414,7 +415,7 @@ def test_rescaled_wide_path_on_batches_that_straddle_the_uint32_bound(n_small, n
         rng.sample(above, n_above))
     avals = [rng.choice((0, 1, p - 1, rng.randrange(p))) for p in ps]
     expected = [product[0] for product in _block_products(
-        [(p, a, 0, p - 1) for p, a in zip(ps, avals)], np.int64)]
+        [(p, a, 0, p - 1) for p, a in zip(ps, avals)], np.uint64)]
     assert qfib_mod_recurrence_many(ps, avals) == expected
 
 
@@ -431,4 +432,4 @@ def test_rescaled_wide_path_checks_eulers_criterion(monkeypatch):
         _recurrence_lanes(ps, avals, np.uint32)
     monkeypatch.undo()
     with pytest.raises(InternalInvariantViolation, match="mod 9,"):
-        _recurrence_lanes(sorted(ps[1:] + [9]), avals, np.int64)
+        _recurrence_lanes(sorted(ps[1:] + [9]), avals, np.uint64)
