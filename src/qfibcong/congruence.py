@@ -296,7 +296,7 @@ def proposition_values(p: np.ndarray, a: np.ndarray, d: np.ndarray,
     -1 for odd I.  S1 is one class mod 5, whose exponents (p - 1 - 2k*d)/10 step by d, so
     every term has its least one's power alpha**(e/10), e = d(I - 2*k1), which may be
     negative.  10 | e with 5 not dividing d gives 5 | I - 2*k1, so alpha**(e/10) is
-    (-1)**((I - 2*k1)/5) for even d; for odd d, I = (p - 1)/d is even, and so is that.
+    (-1)**((I - 2*k1)/5) for even d, and 1 for odd d, which makes I and so (I - 2*k1)/5 even.
     """
     k1, sum1, sum2 = s_set_sums(p, d, index)
     has1 = k1 >= 0

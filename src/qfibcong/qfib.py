@@ -32,9 +32,9 @@ _UINT32_MAX_P = 65_536
 # the rescaled lockstep, whose step does 1.5 multiply-mods a lane against the matrix
 # lane's 3.  Blocked/rescaled time, alpha 2, best of 3 in two sweeps pinned to one core of
 # a Xeon VM (numpy 2.4, Python 3.11), on consecutive primes from 2e4, 5e4 (uint32) and
-# 1e5 (uint64): 0.63-0.72 (uint32) and 0.86-0.96 (uint64) at 128 primes, 0.83-0.90 and
+# 1e5 (64-bit): 0.63-0.72 (uint32) and 0.86-0.96 (64-bit) at 128 primes, 0.83-0.90 and
 # 1.10-1.13 at 192, 0.94-1.04 and 1.18-1.28 at 256, 1.17-1.24 and 1.43-1.47 at 384.  The
-# floor sits at the uint32 crossover, above the uint64 one.  One prime alone runs blocked
+# floor sits at the uint32 crossover, above the 64-bit one.  One prime alone runs blocked
 # at every size: below p = 2,000 a scalar loop was faster, by at most 0.3 ms.
 _WIDE_MIN_BATCH = 256
 

@@ -300,7 +300,8 @@ def _batch(draw):
     longest = max(k1 - k0 for *_, k0, k1 in segments)
     block = draw(st.one_of(st.none(), st.sampled_from((1, 2, 3, longest + 1)),
                            st.integers(1, longest + 1)))
-    dtype = draw(st.sampled_from((np.uint32, np.uint64) if max(ps) <= _UINT32_MAX_P else (np.uint64,)))
+    dtypes = (np.uint32, np.uint64) if max(ps) <= _UINT32_MAX_P else (np.uint64,)
+    dtype = draw(st.sampled_from(dtypes))
     return segments, dtype, block
 
 
@@ -314,7 +315,7 @@ def _batch(draw):
 @example(([(_TOP_PRIME, _TOP_PRIME - 1, _TOP_PRIME - 41, _TOP_PRIME - 1), (_TOP_PRIME, 2, 0, 40),
            (_TOP_PRIME, 1, 12_345, 12_390)], np.uint64, 3))
 def test_block_kernel_matches_the_oracle_on_drawn_blocks(batch):
-    # one modulus (the scalar reduction) or several (% by the lane column); zero-length
+    # one modulus (a scalar) or several (a column of moduli); zero-length
     # segments, lane counts that are not powers of two, block 1, blocks past every segment
     # and the default; against the plain matrix product, and F_p for a whole period
     segments, dtype, block = batch
@@ -341,7 +342,8 @@ def test_qfib_mod_recurrence_folds_by_the_period():
     assert [q for q in range(RECURRENCE_MAX_P, 3_037_000_508) if is_prime(q)] == [3_037_000_507]
     for p in (3_037_000_507, 10**12 + 39):
         for a in (0, 1, p - 1, rng.randrange(2, p - 1)):
-            assert [qfib_mod_recurrence(n, a, p) for n in range(300)] == qfib_seq_mod(299, a, p), (a, p)
+            got = [qfib_mod_recurrence(n, a, p) for n in range(300)]
+            assert got == qfib_seq_mod(299, a, p), (a, p)
 
 
 def test_uint32_lanes_hold_every_step_below_their_bound():
