@@ -32,6 +32,18 @@ def _parse_paths(text: str) -> frozenset[str]:
     return frozenset(part.strip() for part in text.split(",") if part.strip())
 
 
+def _rational(text: str) -> str:
+    """A --alpha or --q value, refused by argparse, which names the option, unless
+    Fraction() reads it; kept as given, since verify echoes an inapplicable alpha."""
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     parser = argparse.ArgumentParser(
         prog="qfibcong",
@@ -48,16 +60,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.Action]:
     p_qfib = sub.add_parser("qfib", help="evaluate F_n(q) exactly or mod p")
     p_qfib.add_argument("n", type=int)
     p_qfib.add_argument("--poly", action="store_true", help="print the exact polynomial")
-    p_qfib.add_argument("--q", metavar="RAT", help="rational evaluation point")
+    p_qfib.add_argument("--q", type=_rational, metavar="RAT", help="rational evaluation point")
     p_qfib.add_argument("--p", type=int, help="odd prime modulus")
 
     p_verify = sub.add_parser("verify", help="check the congruence at one prime")
-    p_verify.add_argument("--alpha", metavar="RAT", required=True)
+    p_verify.add_argument("--alpha", type=_rational, metavar="RAT", required=True)
     p_verify.add_argument("--p", type=int, required=True)
     p_verify.add_argument("--paths", **paths)
 
     p_scan = sub.add_parser("scan", help="verify the congruence over a prime range")
-    p_scan.add_argument("--alpha", metavar="RAT", required=True)
+    p_scan.add_argument("--alpha", type=_rational, metavar="RAT", required=True)
     p_scan.add_argument("--pmin", type=int, default=3)
     p_scan.add_argument("--pmax", type=int, required=True)
     p_scan.add_argument("--paths", **paths)
@@ -166,7 +178,7 @@ def _cmd_scan(args) -> int:
     if args.csv:
         report.write_csv(rep, args.csv)
         print(f"records written to {args.csv}")
-    disagreeing = [r.p for r in rep.records if not r.paths_agree]
+    disagreeing = rep.columns["p"][~rep.columns["paths_agree"]].tolist()
     if disagreeing:
         print(f"error: the routes disagree at {len(disagreeing)} primes, first p = {disagreeing[0]}",
               file=sys.stderr)

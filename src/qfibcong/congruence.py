@@ -78,20 +78,46 @@ class CongruenceRecord:
         return self.data.p
 
 
-@dataclass(frozen=True)
+# A scan's records as numpy columns, one row per applicable prime: each field's name and dtype.
+RECORD_FIELDS = {"p": np.int64, "alpha_res": np.int64, "ord": np.int64, "index": np.int64,
+                 "lsym": np.int64, "predicted_index": np.int64, "lhs": np.int64, "rhs": np.int64,
+                 "match": np.bool_, "paths_agree": np.bool_}
+
+
+def _records(alpha: Fraction, columns: dict[str, np.ndarray]) -> list[CongruenceRecord]:
+    """The CongruenceRecord of each row of a record table."""
+    return [CongruenceRecord(ResidualData(alpha, q, a, d, i, s, Reason.OK), lhs=x,
+                             predicted_index=n, rhs=y, match=m, paths_agree=ok)
+            for q, a, d, i, s, n, x, y, m, ok in zip(*(columns[k].tolist() for k in RECORD_FIELDS))]
+
+
+@dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Outcome of verifying the congruence over a prime range."""
+    """Outcome of verifying the congruence over a prime range: its records as the
+    RECORD_FIELDS columns, in ascending p."""
 
     alpha: Fraction
     p_min: int
     p_max: int
     paths: tuple[str, ...]
-    records: list[CongruenceRecord]
+    columns: dict[str, np.ndarray]
     skipped: dict[str, int]
 
     @property
+    def records(self) -> list[CongruenceRecord]:
+        """The records, built from the columns on each call."""
+        return _records(self.alpha, self.columns)
+
+    @property
     def all_match(self) -> bool:
-        return all(r.match for r in self.records)
+        return bool(self.columns["match"].all())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanReport):
+            return NotImplemented
+        return ((self.alpha, self.p_min, self.p_max, self.paths, self.skipped)
+                == (other.alpha, other.p_min, other.p_max, other.paths, other.skipped)
+                and all(np.array_equal(self.columns[k], other.columns[k]) for k in RECORD_FIELDS))
 
 
 def residual_data(alpha: Fraction, p: int) -> ResidualData:
@@ -329,7 +355,7 @@ def verify_theorem(alpha: Fraction, p: int,
     inapplicable pair returns its residual data, whose reason says why."""
     _check_request(paths, p)
     rd = residual_data(alpha, p)
-    return record_chunk([_lane(rd)], rd.alpha, paths)[0] if rd.applicable else rd
+    return _records(rd.alpha, record_chunk([_lane(rd)], paths))[0] if rd.applicable else rd
 
 
 def _check_request(paths: frozenset[str], p_max: int) -> None:
@@ -369,18 +395,18 @@ _CROSS_CHECKS = {"andrews": _andrews_values, "proposition": proposition_values,
 ALL_PATHS = frozenset({"recurrence", *_CROSS_CHECKS})
 
 
-def record_chunk(blocks, alpha: Fraction, paths: frozenset[str],
-                 lhs: dict[int, int] | None = None) -> list[CongruenceRecord]:
-    """One record per applicable prime of a chunk, in its order, from its blocks of columns
-    (p, alpha mod p, ord, index, lsym) as residual_window returns them.
+def record_chunk(blocks, paths: frozenset[str],
+                 lhs: dict[int, int] | None = None) -> dict[str, np.ndarray]:
+    """The RECORD_FIELDS columns of a chunk's applicable primes, in its order, from its blocks
+    of columns (p, alpha mod p, ord, index, lsym) as residual_window returns them.
 
     A prime's left side, F_p(alpha) mod p in [0, p), is lhs[p] where lhs has p; the
     recurrence, the ground truth, runs as one batch over the other primes, and not at all
     when none is left.  Each other requested route only decides whether the routes agree.
     """
     p, a, d, index, lsym = (np.concatenate(column) for column in zip(*blocks))
-    lhs, primes = lhs or {}, p.tolist()
-    left = np.array([lhs.get(q, -1) for q in primes], dtype=np.int64)
+    lhs = lhs or {}
+    left = np.array([lhs.get(q, -1) for q in p.tolist()], dtype=np.int64)
     if (missing := left < 0).any():
         left[missing] = qfib_mod_recurrence_many(p[missing].tolist(), a[missing].tolist())
     agree = np.ones(p.size, dtype=bool)
@@ -389,10 +415,9 @@ def record_chunk(blocks, alpha: Fraction, paths: frozenset[str],
     if ((n_star := index + lsym) < 0).any():
         raise InternalInvariantViolation("predicted index must be non-negative")
     rhs = fib_mod_lanes(n_star, p)
-    columns = (c.tolist() for c in (a, d, index, lsym, left, n_star, rhs, agree))
-    return [CongruenceRecord(ResidualData(alpha, q, res, o, i, s, Reason.OK), lhs=x,
-                             predicted_index=n, rhs=y, match=x == y, paths_agree=ok)
-            for q, res, o, i, s, x, n, y, ok in zip(primes, *columns)]
+    return {"p": p, "alpha_res": a, "ord": d, "index": index, "lsym": lsym,
+            "predicted_index": n_star, "lhs": left, "rhs": rhs, "match": left == rhs,
+            "paths_agree": agree}
 
 
 def _window_blocks(alpha: Fraction, primes: Sequence[int],
@@ -477,14 +502,18 @@ def scan_range(
 
     The recurrence always runs, so it is always among the report's paths.
     A prime's left side is lhs[p] where lhs has p, taken as given, as
-    record_chunk takes it.  Records depend only on (alpha, p) and lhs and are
-    sorted by p after the merge, so the output is identical for any worker count.
+    record_chunk takes it.  Records depend only on (alpha, p) and lhs, and the chunks'
+    columns are merged by one stable sort on p, so the output is identical for any
+    worker count.
     """
     _check_request(paths, p_max)
     alpha = _require_alpha(alpha)
     if not 2 < p_min <= p_max:
         raise DomainError(f"need 2 < p_min <= p_max, got [{p_min}, {p_max}]")
     paths = paths | {"recurrence"}
-    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, workers, alpha, paths, lhs)
-    records = sorted((r for records in parts for r in records), key=lambda r: r.p)
-    return ScanReport(alpha, p_min, p_max, tuple(sorted(paths)), records, skipped)
+    parts, skipped = run_chunks(record_chunk, alpha, p_min, p_max, workers, paths, lhs)
+    columns = {k: np.concatenate([np.empty(0, dtype), *(part[k] for part in parts)])
+               for k, dtype in RECORD_FIELDS.items()}
+    order = np.argsort(columns["p"], kind="stable")
+    return ScanReport(alpha, p_min, p_max, tuple(sorted(paths)),
+                      {k: column[order] for k, column in columns.items()}, skipped)

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from fractions import Fraction
 from typing import Any
 
-from .congruence import CongruenceRecord, ScanReport, scan_range
+import numpy as np
+
+from .congruence import ScanReport, scan_range
 from .density import delta_truncated
 from .errors import DomainError
 from .stats import occurrence_histogram
@@ -24,28 +27,37 @@ FORMAT_VERSION = 1
 
 CSV_COLUMNS = ("p", "ord", "index", "lsym", "predicted_index", "lhs", "rhs", "match")
 
+_BOOLS = np.array(["false", "true"])
+
 
 def _big(n: int) -> str:
     """Decimal-string encoding for integers that may not fit a double."""
     return str(int(n))
 
 
-def _record_dict(r: CongruenceRecord) -> dict[str, Any]:
-    return {
-        "p": r.p,
-        "ord": r.data.ord,
-        "index": r.data.index,
-        "lsym": r.data.lsym_ord,
-        "predicted_index": r.predicted_index,
-        "lhs": _big(r.lhs),
-        "rhs": _big(r.rhs),
-        "match": r.match,
-        "paths_agree": r.paths_agree,
-    }
+# The keys of a scan record in the body, in order: RECORD_FIELDS but alpha mod p.
+RECORD_KEYS = ("p", "ord", "index", "lsym", "predicted_index", "lhs", "rhs", "match", "paths_agree")
+
+# One record as json.dumps(indent=2) writes it in the body's record list.
+_RECORD_TEMPLATE = ("    {\n" + ",\n".join(f'      "{key}": {value}' for key, value in zip(
+    RECORD_KEYS, ("%d", "%d", "%d", "%d", "%d", '"%d"', '"%d"', "%s", "%s"))) + "\n    }")
 
 
-def scan_report_dict(rep: ScanReport) -> dict[str, Any]:
-    """JSON-ready dict for a scan; the "run" sub-object is the only volatile part."""
+class _RecordDicts(list):
+    """A scan body's record dicts, with the columns they were built from.  write_json writes
+    the columns, so an edit to the dicts does not reach the file: change the ScanReport."""
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        super().__init__({"p": p, "ord": d, "index": i, "lsym": s, "predicted_index": n,
+                          "lhs": str(x), "rhs": str(y), "match": m, "paths_agree": ok}
+                         for p, d, i, s, n, x, y, m, ok
+                         in zip(*(columns[k].tolist() for k in RECORD_KEYS)))
+        self.columns = columns
+
+
+def _scan_head(rep: ScanReport) -> dict[str, Any]:
+    """A scan's body but its records."""
+    matched = int(rep.columns["match"].sum())
     return {
         "kind": "scan",
         "format_version": FORMAT_VERSION,
@@ -57,13 +69,17 @@ def scan_report_dict(rep: ScanReport) -> dict[str, Any]:
         },
         "run": {},
         "summary": {
-            "checked": len(rep.records),
-            "matched": sum(r.match for r in rep.records),
-            "mismatched": sum(not r.match for r in rep.records),
+            "checked": rep.columns["p"].size,
+            "matched": matched,
+            "mismatched": rep.columns["p"].size - matched,
             "skipped": dict(sorted(rep.skipped.items())),
         },
-        "records": [_record_dict(r) for r in rep.records],
     }
+
+
+def scan_report_dict(rep: ScanReport) -> dict[str, Any]:
+    """JSON-ready dict for a scan; the "run" sub-object is the only volatile part."""
+    return {**_scan_head(rep), "records": _RecordDicts(rep.columns)}
 
 
 def stats_report_dict(rep) -> dict[str, Any]:
@@ -125,16 +141,33 @@ def density_report_dict(est) -> dict[str, Any]:
 
 
 def write_json(payload: dict[str, Any], path: str) -> None:
-    """Serialize to path atomically (write to a sibling temp file, then rename)."""
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    """Serialize to path atomically (write to a sibling temp file, then rename), as
+    json.dumps(payload, indent=2) gives it.
+
+    A scan's records, as scan_report_dict makes them, are written from their columns
+    by one template.  The record list is a top-level value, so its key is the one that
+    starts a line two spaces in, since json.dumps escapes the newlines in strings.
+    """
+    records = payload.get("records")
+    if isinstance(records, _RecordDicts) and records:
+        text = json.dumps({**payload, "records": []}, indent=2)
+        head, _, tail = text.partition('\n  "records": []')
+        columns = records.columns
+        rows = [columns[k].tolist() for k in RECORD_KEYS[:7]]
+        rows += [_BOOLS[columns[k].astype(np.intp)].tolist() for k in RECORD_KEYS[7:]]
+        body = ",\n".join(map(_RECORD_TEMPLATE.__mod__, zip(*rows)))
+        text = f'{head}\n  "records": [\n{body}\n  ]{tail}'
+    else:
+        text = json.dumps(payload, indent=2)
+    _atomic_write(path, text + "\n")
 
 
 def write_csv(rep: ScanReport, path: str) -> None:
-    """Flat per-prime table for a scan report: the record dicts' CSV_COLUMNS."""
+    """Flat per-prime table for a scan report: its CSV_COLUMNS, as the body writes them."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([d[c] for c in CSV_COLUMNS] for d in map(_record_dict, rep.records))
+    writer.writerows(zip(*(rep.columns[c].tolist() for c in CSV_COLUMNS)))
     _atomic_write(path, buf.getvalue())
 
 
@@ -171,6 +204,14 @@ def check_report(path: str) -> list[str]:
     return [f"unknown report kind: {kind!r}"]
 
 
+def _is_int(v: Any) -> bool:
+    return type(v) is int
+
+
+def _is_decimal(v: Any) -> bool:
+    return isinstance(v, str) and v.removeprefix("-").isdecimal()
+
+
 def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=(),
                str_lists=()) -> list[str]:
     """Shape problems of one JSON value: it must be an object, and each of the
@@ -178,9 +219,7 @@ def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=(),
     or of strings."""
     if not isinstance(obj, dict):
         return [f"{where} is not an object"]
-    kinds = ((ints, "an integer", lambda v: type(v) is int),
-             (decimals, "a decimal string",
-              lambda v: isinstance(v, str) and v.removeprefix("-").isdecimal()),
+    kinds = ((ints, "an integer", _is_int), (decimals, "a decimal string", _is_decimal),
              (int_lists, "a list of integers",
               lambda v: isinstance(v, list) and all(type(w) is int for w in v)),
              (str_lists, "a list of strings",
@@ -197,38 +236,107 @@ def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
             for problem in _malformed(f"{label} {i}", item, **kinds)]
 
 
+_ABSENT = object()  # a key that a record lacks, told apart from a null
+
+
+def _record_columns(records: list) -> tuple[list[str], dict[str, list]]:
+    """The values of a scan's records key by key, _ABSENT where a record lacks the key,
+    and the records' shape problems, as _malformed_list words and orders them.
+
+    A column whose values are all of the right type passes on one look at the set of
+    their types (and, for decimal strings, at their concatenation); the others are
+    searched value by value.
+    """
+    rows = [r if isinstance(r, dict) else {} for r in records]
+    columns = {k: list(map(dict.get, rows, itertools.repeat(k), itertools.repeat(_ABSENT)))
+               for k in RECORD_KEYS}
+    found = [(i, -1, f"record {i} is not an object")
+             for i, r in enumerate(records) if not isinstance(r, dict)]
+    for rank, key in enumerate(RECORD_KEYS[:7]):  # five integers, then two decimal strings
+        column, kinds = columns[key], set(map(type, columns[key]))
+        if rank < 5 and not kinds <= {int, object}:  # object: _ABSENT
+            found += [(i, rank, f"record {i}: {key} is not an integer")
+                      for i, v in enumerate(column) if v is not _ABSENT and not _is_int(v)]
+        elif rank >= 5 and not (kinds <= {str} and all(column) and "".join(column).isdecimal()):
+            found += [(i, rank, f"record {i}: {key} is not a decimal string")
+                      for i, v in enumerate(column) if v is not _ABSENT and not _is_decimal(v)]
+    return [problem for *_, problem in sorted(found)], columns
+
+
 def _check_scan(payload: dict[str, Any]) -> list[str]:
     """Rebuild a scan report by the call scan makes, and list where it differs.
 
     A record is rebuilt with the report's own lhs where that is a residue of p and the
     record claims a match and agreeing routes; the recurrence runs for the window's
-    other applicable primes, a claimed mismatch or disagreement included.
+    other applicable primes, a claimed mismatch or disagreement included.  The records
+    are read, checked and compared key by key, as columns.
     """
     records = payload.get("records", [])
     meta = payload.get("metadata", {})
     problems = (_malformed("metadata", meta, ints=("p_min", "p_max"), str_lists=("paths",))
-                + _malformed("summary", payload.get("summary", {}))
-                + _malformed_list("records", records, "record", decimals=("lhs", "rhs"),
-                                  ints=("p", "ord", "index", "lsym", "predicted_index")))
-    if problems:
-        return problems
+                + _malformed("summary", payload.get("summary", {})))
+    if not isinstance(records, list):
+        return problems + ["records is not a list"]
+    shape, columns = _record_columns(records)
+    if problems or shape:
+        return problems + shape
     try:
         alpha = Fraction(meta.get("alpha", ""))
     except (TypeError, ValueError, ArithmeticError):
         return ["metadata.alpha unparsable"]
     # a string longer than str(p) is no residue, and could pass int()'s digit limit
-    lhs = {r["p"]: int(r["lhs"]) for r in records if "p" in r and r.get("match") is True
-           and r.get("paths_agree") is True and r.get("lhs", "").isdecimal()
-           and len(r["lhs"]) <= len(str(r["p"])) and int(r["lhs"]) < r["p"]}
+    claims = zip(columns["p"], columns["lhs"], columns["match"], columns["paths_agree"])
+    lhs = {p: value for p, x, match, agree in claims
+           if match is True and agree is True and p is not _ABSENT and x is not _ABSENT
+           and x.isdecimal() and len(x) <= len(str(p)) and (value := int(x)) < p}
     try:
         rep = scan_range(alpha, meta.get("p_min", 0), meta.get("p_max", 0),
                          frozenset(meta.get("paths", ())), lhs=lhs)
     except DomainError as exc:
         return [f"cannot rebuild: {exc}"]
-    return (_compare(payload, scan_report_dict(rep), "records", "p",
-                     "an applicable prime of the window")
+    return (_compare_scan(payload, records, columns, rep)
             + [f"record {i}: the evaluation routes disagree"
-               for i, r in enumerate(records) if r.get("paths_agree") is not True])
+               for i, agree in enumerate(columns["paths_agree"]) if agree is not True])
+
+
+def _compare_scan(payload: dict[str, Any], records: list[dict], columns: dict[str, list],
+                  rep: ScanReport) -> list[str]:
+    """Where a scan report's body differs from its rebuild, as _compare lists it: each
+    record matched on p, then the window's primes with no record, then every other
+    object, then anything else at all.  Each key's values are compared with the
+    rebuild's at once, by Python's != over numpy object arrays."""
+    built_p, mine = rep.columns["p"].tolist(), columns["p"]
+    row_of = dict(zip(built_p, range(len(built_p))))
+    rows = np.fromiter(map(row_of.get, mine, itertools.repeat(-1)), np.intp, len(mine))
+    hit = rows >= 0
+    built = {k: rep.columns[k].astype(object) for k in RECORD_KEYS}
+    for k in ("lhs", "rhs"):  # decimal strings in the body
+        built[k] = rep.columns[k].astype(str).astype(object)
+    differ = np.zeros((len(RECORD_KEYS), len(mine)), dtype=bool)
+    for row, key in zip(differ, RECORD_KEYS):
+        row[hit] = np.fromiter(columns[key], object, len(mine))[hit] != built[key][rows[hit]]
+    sizes = np.fromiter(map(len, records), np.intp, len(records))
+    problems = []
+    for i in np.flatnonzero(~hit | differ.any(axis=0) | (sizes > len(RECORD_KEYS))).tolist():
+        if not hit[i]:
+            p = None if mine[i] is _ABSENT else mine[i]
+            problems.append(f"record {i}: p={p} is not an applicable prime of the window")
+            continue
+        fields = [key for key, d in zip(RECORD_KEYS, differ[:, i]) if d]
+        fields += [k for k, v in records[i].items() if k not in RECORD_KEYS and v is not None]
+        if fields:
+            problems.append(f"record {i} differs from the rebuild in {', '.join(fields)}")
+    problems += [f"no record for p={p}, an applicable prime of the window"
+                 for p in sorted(set(built_p).difference(mine))]
+    head = _scan_head(rep)
+    problems += filter(None, (_differing(name, payload.get(name, {}), value)
+                              for name, value in head.items()
+                              if isinstance(value, dict) and name != "run"))
+    same = ("records" in payload and mine == built_p and (sizes == len(RECORD_KEYS)).all()
+            and {**payload, "run": {}, "records": []} == {**head, "records": []})
+    if not problems and not same:
+        problems.append("the report differs from its rebuild")  # such as its records' order
+    return problems
 
 
 def _compare(payload: dict[str, Any], rebuilt: dict[str, Any], items: str = "", key: str = "",

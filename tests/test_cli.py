@@ -116,6 +116,21 @@ def test_scan_refuses_bad_input_before_any_work(capsys, monkeypatch):
     assert code == 2 and out == "" and "digit limit" in err
 
 
+def test_a_bad_rational_is_refused_by_its_option_and_text(capsys, tmp_path):
+    for argv, option in ((("verify", "--alpha", "1/0", "--p", "7"), "--alpha"),
+                         (("scan", "--alpha", "1/0", "--pmax", "100"), "--alpha"),
+                         (("qfib", "5", "--q", "1/0", "--p", "7"), "--q")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and f"argument {option}: '1/0' has a zero denominator" in err
+    code, out, err = run(capsys, "verify", "--alpha", "two", "--p", "7")
+    assert (code, out) == (2, "") and "argument --alpha: Invalid literal for Fraction: 'two'" in err
+    # a config entry is parsed by the option's type, as a flag is
+    config = tmp_path / "q.cfg"
+    config.write_text("q = 1/0\n")
+    code, out, err = run(capsys, "--config", str(config), "qfib", "5", "--p", "7")
+    assert (code, out) == (2, "") and "argument --q: '1/0' has a zero denominator" in err
+
+
 def test_windows_past_the_order_kernel_bound_are_refused_before_any_work(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the input checks")
@@ -707,6 +722,59 @@ def test_check_rebuilds_scan_reports(capsys, monkeypatch, tmp_path):
     payload = json.loads(body)
     payload["metadata"]["alpha"] = "1e5000"
     check(payload, ["cannot rebuild: alpha's numerator or denominator is past int()'s digit limit"])
+
+
+def test_check_lists_single_field_mutants_as_before(capsys, tmp_path):
+    # one mutant of each kind that check words differently; each list was taken from the
+    # record-by-record check that came before the column one
+    path = tmp_path / "r.json"
+    run(capsys, "scan", "--alpha", "3/2", "--pmax", "2000", "--out", str(path))
+    body = path.read_text()
+    assert json.loads(body)["records"][4]["p"] == 19
+
+    def record(key, change):
+        return lambda payload: payload["records"][4].update({key: change(payload["records"][4])})
+
+    def swap(payload):
+        records = payload["records"]
+        records[4], records[5] = records[5], records[4]
+
+    applicable = "an applicable prime of the window"
+    cases = [
+        (record("ord", lambda r: r["ord"] + 1), ["record 4 differs from the rebuild in ord"]),
+        (record("p", lambda r: r["p"] + 1), [f"record 4: p=20 is not {applicable}",
+                                             f"no record for p=19, {applicable}"]),
+        (lambda payload: payload["records"][4].update(p=payload["records"][5]["p"]),
+         ["record 4 differs from the rebuild in ord, index, lsym, predicted_index, lhs, rhs",
+          f"no record for p=19, {applicable}"]),
+        (record("paths_agree", lambda r: False),
+         ["record 4 differs from the rebuild in paths_agree",
+          "record 4: the evaluation routes disagree"]),
+        (record("lhs", lambda r: str(int(r["lhs"]) + 1)),
+         ["record 4 differs from the rebuild in match",
+          "summary differs from the rebuild in matched, mismatched"]),
+        (record("rhs", lambda r: str(int(r["rhs"]) - 1)),
+         ["record 4 differs from the rebuild in rhs"]),
+        (record("match", lambda r: 1), []),  # 1 == True, as the rebuild's dicts compared it
+        (lambda payload: payload["records"][4].pop("p"), [f"record 4: p=None is not {applicable}",
+                                                          f"no record for p=19, {applicable}"]),
+        (lambda payload: payload["records"][4].pop("lhs"),
+         ["record 4 differs from the rebuild in lhs"]),
+        (record("extra", lambda r: 1), ["record 4 differs from the rebuild in extra"]),
+        (record("extra", lambda r: None), ["the report differs from its rebuild"]),
+        (swap, ["the report differs from its rebuild"]),
+        (lambda payload: payload.update(format_version=2), ["the report differs from its rebuild"]),
+        (lambda payload: payload["summary"]["skipped"].update(OrdDivisibleBy5=0),
+         ["summary differs from the rebuild in skipped"]),
+        (lambda payload: payload["metadata"].update(p_min=2),
+         ["cannot rebuild: need 2 < p_min <= p_max, got [2, 2000]"]),
+        (lambda payload: payload.pop("metadata"), ["metadata.alpha unparsable"]),
+    ]
+    for tamper, problems in cases:
+        payload = json.loads(body)
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        assert check_report(str(path)) == problems
 
 
 def test_check_rebuilds_density_reports(capsys, monkeypatch, tmp_path):

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,10 @@ import qfibcong
 from qfibcong import congruence, qfib
 from qfibcong.congruence import (
     ALL_PATHS,
+    SKIP_REASONS,
     Reason,
     ResidualData,
+    ScanReport,
     qfib_mod_proposition,
     residual_data,
     scan_range,
@@ -27,7 +30,7 @@ from qfibcong.congruence import (
 from qfibcong.errors import DomainError
 from qfibcong.modarith import is_prime, multiplicative_order, primes_upto, reduce_rational
 from qfibcong.qfib import RECURRENCE_MAX_P, binomial_row, fib_mod, qfib_mod_recurrence
-from qfibcong.report import scan_report_dict, stats_report_dict
+from qfibcong.report import scan_report_dict, stats_report_dict, write_json
 from qfibcong.stats import occurrence_histogram
 
 from _oracles import primes_trial, s_set_sums as oracle_s_set_sums
@@ -553,3 +556,39 @@ def test_chunk_runner_covers_the_window_for_any_worker_count(window, g):
     assert scans[0] == scans[1] == scans[2] and histograms[0] == histograms[1] == histograms[2]
     assert len({_body(scan_report_dict(rep)) for rep in scans}) == 1
     assert len({_body(stats_report_dict(hist)) for hist in histograms}) == 1
+
+
+def _record_rows(p):
+    """One drawn record row at the prime-sized modulus p: (p, alpha mod p, ord, index, lsym,
+    lhs, rhs, match, paths_agree), each field drawn on its own."""
+    return st.tuples(st.just(p), st.integers(0, p - 1), st.integers(1, p - 1),
+                     st.integers(0, p - 1), st.sampled_from((-1, 1)), st.integers(0, p - 1),
+                     st.integers(0, p - 1), st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(3, RECURRENCE_MAX_P).flatmap(_record_rows), max_size=5),
+    st.sampled_from((Fraction(2), Fraction(-5, 7), Fraction(3, 2), Fraction(10**30 + 1, 7))),
+    st.lists(st.integers(0, 10**9), min_size=len(SKIP_REASONS), max_size=len(SKIP_REASONS)),
+    st.sets(st.sampled_from(sorted(ALL_PATHS))),
+    st.fixed_dictionaries({"workers": st.integers(1, 64), "wall_time_s": st.floats(0, 1e4)}),
+)
+@example([], Fraction(2), [0, 0, 0], set(), {"workers": 1, "wall_time_s": 0.5})
+@example([(RECURRENCE_MAX_P, RECURRENCE_MAX_P - 1, 1, 0, -1, RECURRENCE_MAX_P - 1,
+           RECURRENCE_MAX_P - 1, False, False)],
+         Fraction(-5, 7), [1, 2, 3], {"recurrence"}, {"workers": 3, "wall_time_s": 1e-9})
+def test_write_json_writes_what_the_encoder_writes(rows, alpha, skips, paths, run):
+    """write_json's template for a scan's records gives json.dumps(indent=2)'s text."""
+    names = ("p", "alpha_res", "ord", "index", "lsym", "lhs", "rhs", "match", "paths_agree")
+    columns = {name: np.array(column, dtype=congruence.RECORD_FIELDS[name])
+               for name, column in zip(names, zip(*rows) if rows else [()] * len(names))}
+    columns["predicted_index"] = columns["index"] + columns["lsym"]
+    rep = ScanReport(alpha, 3, RECURRENCE_MAX_P, tuple(sorted(paths)), columns,
+                     {r.value: k for r, k in zip(SKIP_REASONS, skips)})
+    payload = {**scan_report_dict(rep), "run": run}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.json")
+        write_json(payload, path)
+        with open(path) as fh:
+            assert fh.read() == json.dumps(payload, indent=2) + "\n"
