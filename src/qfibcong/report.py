@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .congruence import ScanReport, scan_range
+from .congruence import RECORD_FIELDS, ScanReport, scan_range
 from .density import delta_truncated
 from .errors import DomainError
 from .stats import occurrence_histogram
@@ -35,8 +35,9 @@ def _big(n: int) -> str:
     return str(int(n))
 
 
-# The keys of a scan record in the body, in order: RECORD_FIELDS but alpha mod p.
-RECORD_KEYS = ("p", "ord", "index", "lsym", "predicted_index", "lhs", "rhs", "match", "paths_agree")
+# The keys of a scan record in the body, in order: (p, ord, index, lsym, predicted_index,
+# lhs, rhs, match, paths_agree).
+RECORD_KEYS = tuple(k for k in RECORD_FIELDS if k != "alpha_res")
 
 # One record as json.dumps(indent=2) writes it in the body's record list.
 _RECORD_TEMPLATE = ("    {\n" + ",\n".join(f'      "{key}": {value}' for key, value in zip(
@@ -204,14 +205,6 @@ def check_report(path: str) -> list[str]:
     return [f"unknown report kind: {kind!r}"]
 
 
-def _is_int(v: Any) -> bool:
-    return type(v) is int
-
-
-def _is_decimal(v: Any) -> bool:
-    return isinstance(v, str) and v.removeprefix("-").isdecimal()
-
-
 def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=(),
                str_lists=()) -> list[str]:
     """Shape problems of one JSON value: it must be an object, and each of the
@@ -219,7 +212,9 @@ def _malformed(where: str, obj: Any, ints=(), decimals=(), int_lists=(),
     or of strings."""
     if not isinstance(obj, dict):
         return [f"{where} is not an object"]
-    kinds = ((ints, "an integer", _is_int), (decimals, "a decimal string", _is_decimal),
+    kinds = ((ints, "an integer", lambda v: type(v) is int),
+             (decimals, "a decimal string",
+              lambda v: isinstance(v, str) and v.removeprefix("-").isdecimal()),
              (int_lists, "a list of integers",
               lambda v: isinstance(v, list) and all(type(w) is int for w in v)),
              (str_lists, "a list of strings",
@@ -239,28 +234,22 @@ def _malformed_list(where: str, items: Any, label: str, **kinds) -> list[str]:
 _ABSENT = object()  # a key that a record lacks, told apart from a null
 
 
-def _record_columns(records: list) -> tuple[list[str], dict[str, list]]:
-    """The values of a scan's records key by key, _ABSENT where a record lacks the key,
-    and the records' shape problems, as _malformed_list words and orders them.
+def _record_columns(records: list) -> tuple[dict[str, list], bool]:
+    """The values of a scan's records key by key, _ABSENT where a record lacks the key, and
+    whether every record is an object whose integers and decimal strings are well typed.
 
-    A column whose values are all of the right type passes on one look at the set of
-    their types (and, for decimal strings, at their concatenation); the others are
-    searched value by value.
+    Each field's type is checked over its whole column, by the set of its values' types
+    and, for decimal strings, by their concatenation; a column that fails this may still
+    be well typed (a negative decimal string), and _malformed_list then says.
     """
     rows = [r if isinstance(r, dict) else {} for r in records]
     columns = {k: list(map(dict.get, rows, itertools.repeat(k), itertools.repeat(_ABSENT)))
                for k in RECORD_KEYS}
-    found = [(i, -1, f"record {i} is not an object")
-             for i, r in enumerate(records) if not isinstance(r, dict)]
-    for rank, key in enumerate(RECORD_KEYS[:7]):  # five integers, then two decimal strings
-        column, kinds = columns[key], set(map(type, columns[key]))
-        if rank < 5 and not kinds <= {int, object}:  # object: _ABSENT
-            found += [(i, rank, f"record {i}: {key} is not an integer")
-                      for i, v in enumerate(column) if v is not _ABSENT and not _is_int(v)]
-        elif rank >= 5 and not (kinds <= {str} and all(column) and "".join(column).isdecimal()):
-            found += [(i, rank, f"record {i}: {key} is not a decimal string")
-                      for i, v in enumerate(column) if v is not _ABSENT and not _is_decimal(v)]
-    return [problem for *_, problem in sorted(found)], columns
+    kinds = {k: set(map(type, columns[k])) for k in RECORD_KEYS[:7]}
+    integers = all(kinds[k] <= {int, object} for k in RECORD_KEYS[:5])  # object: _ABSENT
+    decimals = all(kinds[k] <= {str} and all(columns[k]) and "".join(columns[k]).isdecimal()
+                   for k in ("lhs", "rhs"))
+    return columns, set(map(type, records)) <= {dict} and integers and decimals
 
 
 def _check_scan(payload: dict[str, Any]) -> list[str]:
@@ -277,9 +266,12 @@ def _check_scan(payload: dict[str, Any]) -> list[str]:
                 + _malformed("summary", payload.get("summary", {})))
     if not isinstance(records, list):
         return problems + ["records is not a list"]
-    shape, columns = _record_columns(records)
-    if problems or shape:
-        return problems + shape
+    columns, well_typed = _record_columns(records)
+    if not well_typed:
+        problems += _malformed_list("records", records, "record", decimals=("lhs", "rhs"),
+                                    ints=("p", "ord", "index", "lsym", "predicted_index"))
+    if problems:
+        return problems
     try:
         alpha = Fraction(meta.get("alpha", ""))
     except (TypeError, ValueError, ArithmeticError):
