@@ -167,7 +167,7 @@ def _cmd_scan(args) -> int:
         Fraction(args.alpha), args.pmin, args.pmax, paths=args.paths, workers=args.workers
     )
     run = {"workers": args.workers, "wall_time_s": time.monotonic() - start}
-    payload = {**report.scan_report_dict(rep), "run": run}
+    payload = {**report.scan_report_dict(rep, as_columns=True), "run": run}
     summary = payload["summary"]
     print(f"scan alpha = {rep.alpha}, range [{rep.p_min}, {rep.p_max}], paths {','.join(rep.paths)}")
     print(f"checked = {summary['checked']}, matched = {summary['matched']}, "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .congruence import WINDOW_BLOCK, multiplicative_orders, residues
 from .errors import DomainError
-from .modarith import euler_phi, is_squarefree, kronecker, prime_sieve, primes_upto
+from .modarith import euler_phi, factorize, is_squarefree, kronecker, prime_sieve, primes_upto
 from .qfib import RECURRENCE_MAX_P
 
 
@@ -35,12 +35,13 @@ def require_x_bound(x: int, caller: str) -> None:
         raise DomainError(f"{caller} needs x <= {RECURRENCE_MAX_P}, got {x}")
 
 
-def _field_degree(g: int, s: int, r: int) -> int:
+def _field_degree(g: int, s: int, r: int, phi_s: int | None = None) -> int:
     """[Q(zeta_s, g^(1/r)) : Q] = r * phi(s) / epsilon for r | s, where the defect
     epsilon is 2 iff r is even and sqrt(g) lies in Q(zeta_s), that is, the discriminant
-    D of Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise, divides s; else 1."""
+    D of Q(sqrt(g)), g when g = 1 mod 4 and 4g otherwise, divides s; else 1.  phi_s is
+    phi(s), if the caller knows it."""
     epsilon = 2 if r % 2 == 0 and s % (g if g % 4 == 1 else 4 * g) == 0 else 1
-    return r * euler_phi(s) // epsilon
+    return r * (euler_phi(s) if phi_s is None else phi_s) // epsilon
 
 
 def _c_g(g: int, b: int, f: int, v: int) -> int:
@@ -128,9 +129,17 @@ def mu_phi_sieve(n_max: int) -> tuple[list[int], list[int]]:
     return mu.tolist(), phi.tolist()
 
 
-def _tail_bound(t: int, mu: list[int], phi: list[int]) -> Fraction:
+def _balanced_sum(values: list[Fraction]) -> Fraction:
+    """sum(values), added pairwise level by level, so that most additions join two short
+    fractions and the long ones come only near the root (binary splitting)."""
+    while len(values) > 1:
+        values = [x + y for x, y in zip(values[::2], values[1::2])] + values[len(values) & ~1:]
+    return values[0] if values else Fraction(0)
+
+
+def _tail_bound(t: int, phi_t: int, mu: list[int], phi: list[int]) -> Fraction:
     """Exact-rational bound on the tail sum past the truncation point N, for mu and phi
-    sieved up to N.
+    sieved up to N and phi_t = phi(t).
 
     Every dropped term has absolute value at most 1/degree, and the degree
     satisfies degree >= n*t*phi(n)*phi(t)/2, so the tail is at most
@@ -145,12 +154,10 @@ def _tail_bound(t: int, mu: list[int], phi: list[int]) -> Fraction:
     using phi(m) >= sqrt(m/2) and zeta(2) <= 33/20.
     """
     n = len(mu) - 1
-    head = sum(
-        (Fraction(1, phi[m] * m * m * (n // m)) for m in range(1, n + 1) if mu[m]),
-        Fraction(0),
-    )
+    head = _balanced_sum([Fraction(1, phi[m] * m * m * (n // m))
+                          for m in range(1, n + 1) if mu[m]])
     rest = Fraction(33, 20 * n * math.isqrt(n))
-    return Fraction(2, t * euler_phi(t)) * (head + rest)
+    return Fraction(2, t * phi_t) * (head + rest)
 
 
 def delta_truncated(g: int, a: int, d: int, t: int, n_max: int,
@@ -158,7 +165,11 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int,
     """The density series truncated at n_max, with every term an exact rational, and the
     v_count of its primes up to empirical_x, if given, as the estimate's empirical.
 
-    The whole request is checked here, before any work; the term helpers check nothing."""
+    The whole request is checked here, before any work; the term helpers check nothing.
+    f = d*t is factored once, within factorize's bounds, and each term's degree is
+    built from it and the sieved phi(n): with s = lcm(d, n)*t = n*k for k = f/gcd(d, n),
+    every prime of k divides f and every prime q of f that does not divide n divides k,
+    so phi(s) = phi(n) * k * prod(1 - 1/q) over the primes q of f that do not divide n."""
     if empirical_x is not None:
         require_x_bound(empirical_x, "v_count")
     _require_base(g)
@@ -167,26 +178,33 @@ def delta_truncated(g: int, a: int, d: int, t: int, n_max: int,
     b, f = 1 + t * a, d * t
     if math.gcd(b, f) != 1:  # refused before the sieve, whose cost grows with N
         raise DomainError(f"b={b} must be coprime to f={f}")
+    primes = [q for q, _ in factorize(f)]
+    phi_t = t
+    for q in primes:
+        if t % q == 0:
+            phi_t = phi_t // q * (q - 1)
     mus, phis = mu_phi_sieve(n_max)
     terms: list[DeltaTerm] = []
-    total = Fraction(0)
     for n in range(1, n_max + 1):
         mu = mus[n]
         if mu == 0 or a % math.gcd(n, d) != 0:
             continue
+        k = f // math.gcd(d, n)
+        phi_s = phis[n] * k
+        for q in primes:
+            if n % q:
+                phi_s = phi_s // q * (q - 1)
         ind = _c_g(g, b, f, n * t)
-        deg = _field_degree(g, math.lcm(d, n) * t, n * t)
-        value = Fraction(mu * ind, deg)
-        terms.append(DeltaTerm(n, mu, ind, deg, value))
-        total += value
+        deg = _field_degree(g, n * k, n * t, phi_s)
+        terms.append(DeltaTerm(n, mu, ind, deg, Fraction(mu * ind, deg)))
     return DeltaEstimate(
         g=g,
         a=a,
         d=d,
         t=t,
         truncation=n_max,
-        partial_sum=total,
-        tail_bound=_tail_bound(t, mus, phis),
+        partial_sum=_balanced_sum([term.value for term in terms]),
+        tail_bound=_tail_bound(t, phi_t, mus, phis),
         terms=tuple(terms),
         empirical=None if empirical_x is None else _v_count(g, a, d, t, empirical_x),
     )

@@ -21,8 +21,9 @@ Factorization = list[tuple[int, int]]
 _TRIAL_LIMIT = 1000  # trial division covers all composites below _TRIAL_LIMIT**2
 _RHO_SEED = 0x5EED
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic < 3.3e24
-# The bound below which is_squarefree factors by Pollard rho, whose time grows as n**(1/4): a product
-# of two primes near 1e9 took at most 0.07 s, one near 1e10 0.27 s (Python 3.11, 2-core Xeon VM).
+# The bound below which factorize and is_squarefree run Pollard rho, whose time grows as n**(1/4):
+# a product of two primes near 1e9 took at most 0.07 s, one near 1e10 0.27 s (Python 3.11, 2-core
+# Xeon VM).
 _RHO_MAX_N = 10**20
 
 
@@ -108,9 +109,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of n >= 1, primes strictly increasing."""
+    """Complete prime factorization of n >= 1, primes strictly increasing.
+
+    It follows is_squarefree's rule: past the primes below _TRIAL_LIMIT, Pollard rho runs
+    only on parts below _RHO_MAX_N, and a larger part must be a prime or a square, whose
+    root is factored the same way, or DomainError is raised."""
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")
+    whole = n
     factors: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > n:
@@ -124,6 +130,14 @@ def factorize(n: int) -> Factorization:
             m = stack.pop()
             if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
+            elif m >= _RHO_MAX_N:
+                root = math.isqrt(m)
+                if root * root != m:
+                    raise DomainError(
+                        f"cannot factor {whole}: its part {m} has no prime factor below "
+                        f"{_TRIAL_LIMIT}, is composite, not a square, and at least "
+                        f"{_RHO_MAX_N:.0e}")
+                stack += [root, root]
             else:
                 d = _pollard_rho(m)
                 stack.append(d)

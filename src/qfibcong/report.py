@@ -28,6 +28,7 @@ FORMAT_VERSION = 1
 CSV_COLUMNS = ("p", "ord", "index", "lsym", "predicted_index", "lhs", "rhs", "match")
 
 _BOOLS = np.array(["false", "true"])
+_ESCAPE = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it, quotes included
 
 
 def _big(n: int) -> str:
@@ -36,23 +37,16 @@ def _big(n: int) -> str:
 
 
 # The keys of a scan record in the body, in order: (p, ord, index, lsym, predicted_index,
-# lhs, rhs, match, paths_agree).
+# lhs, rhs, match, paths_agree), and the % field each is written by.
 RECORD_KEYS = tuple(k for k in RECORD_FIELDS if k != "alpha_res")
-
-# One record as json.dumps(indent=2) writes it in the body's record list.
-_RECORD_TEMPLATE = ("    {\n" + ",\n".join(f'      "{key}": {value}' for key, value in zip(
-    RECORD_KEYS, ("%d", "%d", "%d", "%d", "%d", '"%d"', '"%d"', "%s", "%s"))) + "\n    }")
+_RECORD_FIELDS = ("%d", "%d", "%d", "%d", "%d", '"%d"', '"%d"', "%s", "%s")
 
 
-class _RecordDicts(list):
-    """A scan body's record dicts, with the columns they were built from.  write_json writes
-    the columns, so an edit to the dicts does not reach the file: change the ScanReport."""
+class _RecordColumns:
+    """A scan's records as the columns they are built from, which write_json writes as
+    the list of record dicts that scan_report_dict gives."""
 
     def __init__(self, columns: dict[str, np.ndarray]):
-        super().__init__({"p": p, "ord": d, "index": i, "lsym": s, "predicted_index": n,
-                          "lhs": str(x), "rhs": str(y), "match": m, "paths_agree": ok}
-                         for p, d, i, s, n, x, y, m, ok
-                         in zip(*(columns[k].tolist() for k in RECORD_KEYS)))
         self.columns = columns
 
 
@@ -78,9 +72,19 @@ def _scan_head(rep: ScanReport) -> dict[str, Any]:
     }
 
 
-def scan_report_dict(rep: ScanReport) -> dict[str, Any]:
-    """JSON-ready dict for a scan; the "run" sub-object is the only volatile part."""
-    return {**_scan_head(rep), "records": _RecordDicts(rep.columns)}
+def scan_report_dict(rep: ScanReport, as_columns: bool = False) -> dict[str, Any]:
+    """JSON-ready dict for a scan; the "run" sub-object is the only volatile part.
+
+    As columns, the records stay the report's columns, which write_json writes as the
+    record dicts; a caller that only writes the body then builds no record dict."""
+    if as_columns:
+        records: Any = _RecordColumns(rep.columns)
+    else:
+        records = [{"p": p, "ord": d, "index": i, "lsym": s, "predicted_index": n,
+                    "lhs": str(x), "rhs": str(y), "match": m, "paths_agree": ok}
+                   for p, d, i, s, n, x, y, m, ok
+                   in zip(*(rep.columns[k].tolist() for k in RECORD_KEYS))]
+    return {**_scan_head(rep), "records": records}
 
 
 def stats_report_dict(rep) -> dict[str, Any]:
@@ -142,25 +146,102 @@ def density_report_dict(est) -> dict[str, Any]:
 
 
 def write_json(payload: dict[str, Any], path: str) -> None:
-    """Serialize to path atomically (write to a sibling temp file, then rename), as
-    json.dumps(payload, indent=2) gives it.
+    """Serialize to path atomically (write to a sibling temp file, then rename), in the
+    bytes of json.dumps(payload, indent=2), by _encode."""
+    out: list[str] = []
+    _encode(payload, "", out)
+    out.append("\n")
+    _atomic_write(path, "".join(out))
 
-    A scan's records, as scan_report_dict makes them, are written from their columns
-    by one template.  The record list is a top-level value, so its key is the one that
-    starts a line two spaces in, since json.dumps escapes the newlines in strings.
+
+def _encode(value: Any, indent: str, out: list[str]) -> None:
+    """Append value's text at the given indent, as json.dumps(indent=2) writes it.
+
+    A list of ints or of strings is written by one join, a list of flat objects by one
+    template built from its first item, and a scan's record columns by the record
+    template; everything else value by value.
     """
-    records = payload.get("records")
-    if isinstance(records, _RecordDicts) and records:
-        text = json.dumps({**payload, "records": []}, indent=2)
-        head, _, tail = text.partition('\n  "records": []')
-        columns = records.columns
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{sep}{_key(key)}: ")
+            _encode(item, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if not value:
+            out.append("[]")
+        elif kinds == {int} or kinds == {str}:
+            text = f",\n{inner}".join(map(int.__repr__ if int in kinds else _ESCAPE, value))
+            out.append(f"[\n{inner}{text}\n{indent}]")
+        elif kinds == {dict} and (rows := _flat_objects(value, inner)) is not None:
+            out.append(f"[\n{rows}\n{indent}]")
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                out.append(sep)
+                _encode(item, inner, out)
+                sep = ",\n" + inner
+            out.append(f"\n{indent}]")
+    elif isinstance(value, _RecordColumns):
+        columns = value.columns
         rows = [columns[k].tolist() for k in RECORD_KEYS[:7]]
         rows += [_BOOLS[columns[k].astype(np.intp)].tolist() for k in RECORD_KEYS[7:]]
-        body = ",\n".join(map(_RECORD_TEMPLATE.__mod__, zip(*rows)))
-        text = f'{head}\n  "records": [\n{body}\n  ]{tail}'
+        text = ",\n".join(map(_object_template(RECORD_KEYS, _RECORD_FIELDS, inner).__mod__,
+                               zip(*rows)))
+        out.append(f"[\n{text}\n{indent}]" if text else "[]")
     else:
-        text = json.dumps(payload, indent=2)
-    _atomic_write(path, text + "\n")
+        out.append(_scalar(value))
+
+
+def _scalar(value: Any) -> str:
+    """A value that is neither a list nor an object, as json.dumps writes it."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)  # None, a bool or a float; anything else is a TypeError
+
+
+def _key(key: Any) -> str:
+    """An object's key as json.dumps writes it: a str, or a scalar's JSON text as a str."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if key is None or isinstance(key, (int, float)):
+        return _ESCAPE(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _object_template(keys: tuple[str, ...], fields: tuple[str, ...], indent: str) -> str:
+    """An object with the given keys at the given indent, each value a % field."""
+    inner = indent + "  "
+    text = ",\n".join(f"{inner}{_ESCAPE(k).replace('%', '%%')}: {f}" for k, f in zip(keys, fields))
+    return f"{indent}{{\n{text}\n{indent}}}"
+
+
+def _flat_objects(items: list[dict], indent: str) -> str | None:
+    """The items at the given indent, joined, if they have the same str keys in the same
+    order and no list or object values; else None."""
+    keys = tuple(items[0])
+    if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, items))):
+        return None
+    columns = []
+    for key in keys:
+        column = [item[key] for item in items]
+        kinds = set(map(type, column))
+        if kinds == {int} or kinds == {str}:
+            columns.append(map(int.__repr__ if int in kinds else _ESCAPE, column))
+        elif any(issubclass(kind, (dict, list, tuple, _RecordColumns)) for kind in kinds):
+            return None
+        else:
+            columns.append(map(_scalar, column))
+    template = _object_template(keys, ("%s",) * len(keys), indent)
+    return ",\n".join(map(template.__mod__, zip(*columns)))
 
 
 def write_csv(rep: ScanReport, path: str) -> None:
@@ -193,6 +274,8 @@ def check_report(path: str) -> list[str]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return [f"unreadable report: {exc}"]
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        return [f"the report holds an integer that cannot be read: {exc}"]
     if not isinstance(payload, dict):
         return ["the report is not a JSON object"]
     kind = payload.get("kind")

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: direct sums, trial division, and
 row-by-row Pascal recurrences, sharing no code with the library paths
-they check.  The paper's lemma objects at the end (the Legendre symbol,
+they check.  The one exception, delta_sequential, sums the density series
+term by term into one running Fraction, with the library's euler_phi on
+every term and its entanglement indicator.  The paper's lemma objects at the end (the Legendre symbol,
 q-integers, the base-d q-binomial, Andrews' sum for every n, the unit
 ratios C_k, the integer sums G_{n,m} and the S-set sums read off a
 binomial row) are checked against the naive q-Pascal triangle, each other
@@ -11,11 +13,13 @@ route's five-section and the recurrence.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from qfibcong.density import _c_g
 from qfibcong.errors import DomainError
-from qfibcong.modarith import is_prime, lsym5, multiplicative_order
+from qfibcong.modarith import euler_phi, is_prime, lsym5, multiplicative_order
 
 
 def primes_trial(limit: int) -> list[int]:
@@ -122,6 +126,31 @@ def fib_seq(n_max: int) -> list[int]:
 
 def phi_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def delta_sequential(g: int, a: int, d: int, t: int, n_max: int):
+    """The density series' terms (n, moebius, c_g, degree, value), partial sum and tail
+    bound as one running Fraction each, with euler_phi called on every degree's s =
+    lcm(d, n)*t and on t; the request is assumed valid.  The entanglement indicator is
+    the library's, which tests/test_density.py checks on its own."""
+    b, f = 1 + t * a, d * t
+    disc = g if g % 4 == 1 else 4 * g
+    terms, total = [], Fraction(0)
+    for n in range(1, n_max + 1):
+        mu = moebius(n)
+        if mu == 0 or a % math.gcd(n, d) != 0:
+            continue
+        s, r = math.lcm(d, n) * t, n * t
+        degree = r * euler_phi(s) // (2 if r % 2 == 0 and s % disc == 0 else 1)
+        c_g = _c_g(g, b, f, r)
+        terms.append((n, mu, c_g, degree, Fraction(mu * c_g, degree)))
+        total += terms[-1][-1]
+    head = Fraction(0)
+    for m in range(1, n_max + 1):
+        if moebius(m):
+            head += Fraction(1, euler_phi(m) * m * m * (n_max // m))
+    rest = Fraction(33, 20 * n_max * math.isqrt(n_max))
+    return terms, total, Fraction(2, t * euler_phi(t)) * (head + rest)
 
 
 def moebius(n: int) -> int:

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import stat
+import time
 from fractions import Fraction
 
 from qfibcong import cli, congruence, density, modarith, qanalogue, report, stats
@@ -306,6 +307,49 @@ def test_density_refuses_a_non_coprime_progression_before_the_sieve(capsys, monk
     monkeypatch.setattr(density, "mu_phi_sieve", no_sieve)
     code, out, err = run(capsys, "density", "--g", "2", "--t", "11", "--a", "4", "--trunc", "100000000")
     assert (code, out) == (2, "") and "b=45 must be coprime to f=55" in err
+
+
+# (10**30 + 57) * (10**31 + 33), a product of two primes far past the bound below which
+# Pollard rho runs
+_SEMIPRIME = 10000000000000000000000000000603000000000000000000000000001881
+
+
+def test_density_refuses_a_t_or_d_it_cannot_factor_before_the_sieve(capsys, monkeypatch,
+                                                                     tmp_path):
+    path = tmp_path / "d.json"
+    code, _, _ = run(capsys, "density", "--g", "2", "--t", "11", "--trunc", "10", "--out", str(path))
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("Pollard rho or the sieve ran for a refused request")
+
+    monkeypatch.setattr(modarith, "_pollard_rho", refuse)
+    monkeypatch.setattr(density, "mu_phi_sieve", refuse)
+    refusal = f"its part {_SEMIPRIME} has no prime factor below 1000, is composite, not a square"
+    for argv in (("--t", str(_SEMIPRIME)), ("--t", "11", "--d", str(_SEMIPRIME))):
+        start = time.monotonic()
+        code, out, err = run(capsys, "density", "--g", "2", *argv, "--trunc", "10")
+        assert time.monotonic() - start < 2
+        assert (code, out) == (2, "") and refusal in err
+    # check rebuilds through delta_truncated, so it inherits the refusal
+    payload = json.loads(path.read_text())
+    payload["metadata"]["t"] = _SEMIPRIME
+    path.write_text(json.dumps(payload))
+    start = time.monotonic()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.monotonic() - start < 2
+    assert (code, out) == (1, "") and f"{path}: cannot rebuild: cannot factor" in err
+    assert refusal in err
+
+
+def test_check_lists_an_integer_past_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"kind": "scan", "metadata": {"p_min": 3, "p_max": ' + "9" * 5000 + "}}")
+    problems = check_report(str(path))
+    assert len(problems) == 1
+    assert problems[0].startswith("the report holds an integer that cannot be read: ")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (1, "", f"{path}: {problems[0]}\n")
 
 
 def test_check_command(capsys, tmp_path):

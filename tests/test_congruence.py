@@ -27,11 +27,12 @@ from qfibcong.congruence import (
     split_chunks,
     verify_theorem,
 )
+from qfibcong.density import DeltaEstimate, DeltaTerm, VCount
 from qfibcong.errors import DomainError
 from qfibcong.modarith import is_prime, multiplicative_order, primes_upto, reduce_rational
 from qfibcong.qfib import RECURRENCE_MAX_P, binomial_row, fib_mod, qfib_mod_recurrence
-from qfibcong.report import scan_report_dict, stats_report_dict, write_json
-from qfibcong.stats import occurrence_histogram
+from qfibcong.report import density_report_dict, scan_report_dict, stats_report_dict, write_json
+from qfibcong.stats import OccurrenceReport, occurrence_histogram
 
 from _oracles import primes_trial, s_set_sums as oracle_s_set_sums
 
@@ -579,7 +580,8 @@ def _record_rows(p):
            RECURRENCE_MAX_P - 1, False, False)],
          Fraction(-5, 7), [1, 2, 3], {"recurrence"}, {"workers": 3, "wall_time_s": 1e-9})
 def test_write_json_writes_what_the_encoder_writes(rows, alpha, skips, paths, run):
-    """write_json's template for a scan's records gives json.dumps(indent=2)'s text."""
+    """write_json gives json.dumps(indent=2)'s text for a scan's body, its records given as
+    dicts or, as the CLI gives them, as columns."""
     names = ("p", "alpha_res", "ord", "index", "lsym", "lhs", "rhs", "match", "paths_agree")
     columns = {name: np.array(column, dtype=congruence.RECORD_FIELDS[name])
                for name, column in zip(names, zip(*rows) if rows else [()] * len(names))}
@@ -587,8 +589,87 @@ def test_write_json_writes_what_the_encoder_writes(rows, alpha, skips, paths, ru
     rep = ScanReport(alpha, 3, RECURRENCE_MAX_P, tuple(sorted(paths)), columns,
                      {r.value: k for r, k in zip(SKIP_REASONS, skips)})
     payload = {**scan_report_dict(rep), "run": run}
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+    assert _written({**scan_report_dict(rep, as_columns=True), "run": run}) == _written(payload)
+
+
+def _written(payload):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "scan.json")
+        path = os.path.join(tmp, "body.json")
         write_json(payload, path)
         with open(path) as fh:
-            assert fh.read() == json.dumps(payload, indent=2) + "\n"
+            return fh.read()
+
+
+_RUNS = st.one_of(st.just({}), st.fixed_dictionaries(
+    {"workers": st.integers(1, 64), "wall_time_s": st.floats(0, 1e4)}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 10**30), st.integers(2, RECURRENCE_MAX_P), st.integers(0, 10**4),
+    st.dictionaries(st.integers(0, 10**6), st.lists(st.integers(3, RECURRENCE_MAX_P), max_size=4)),
+    st.dictionaries(st.text(), st.integers(0, 10**9)),
+    st.lists(st.integers(0, 10**9), min_size=len(SKIP_REASONS), max_size=len(SKIP_REASONS)),
+    _RUNS,
+)
+@example(2, 2, 0, {}, {}, [0, 0, 0], {})
+@example(7, 300_000, 10_000, {0: [3, 13], 4: [], 12: [7]}, {"0": 2, "3": 1, "index:301": 0},
+         [1, 2, 3], {"workers": 1, "wall_time_s": 0.125})
+def test_write_json_writes_stats_bodies_as_the_encoder_does(g, x, cap, buckets, by_value, skips,
+                                                            run):
+    counts = {n: len(witnesses) + n % 3 for n, witnesses in buckets.items()}
+    rep = OccurrenceReport(g, x, cap, sum(counts.values()),
+                           {r.value: k for r, k in zip(SKIP_REASONS, skips)}, counts,
+                           {n: tuple(witnesses) for n, witnesses in buckets.items()}, by_value)
+    payload = {**stats_report_dict(rep), "run": run}
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_TERMS = st.tuples(st.integers(1, 10**4), st.sampled_from((-1, 0, 1)), st.integers(0, 1),
+                   st.integers(1, 10**40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 10**30), st.integers(-10**6, 10**6), st.integers(1, 10**6),
+    st.integers(1, 10**6), st.integers(1, 10**6), st.lists(_TERMS, max_size=6),
+    st.fractions(min_value=0, max_denominator=10**30),
+    st.one_of(st.none(), st.tuples(st.integers(2, RECURRENCE_MAX_P),
+                                   st.lists(st.integers(3, RECURRENCE_MAX_P), max_size=4))),
+    _RUNS,
+)
+@example(2, 1, 5, 11, 1, [], Fraction(0), None, {})
+@example(2, -1, 5, 2, 30, [(1, 1, 1, 40), (3, -1, 1, 80), (6, 1, 0, 160)], Fraction(1, 7),
+         (100, []), {"workers": 1, "wall_time_s": 1e-9})
+def test_write_json_writes_density_bodies_as_the_encoder_does(g, a, d, t, n_max, terms, tail,
+                                                              empirical, run):
+    terms = tuple(DeltaTerm(n, mu, c, deg, Fraction(mu * c, deg)) for n, mu, c, deg in terms)
+    count = None if empirical is None else VCount(g, a, d, t, empirical[0], len(empirical[1]),
+                                                  tuple(empirical[1]))
+    est = DeltaEstimate(g, a, d, t, n_max, sum((x.value for x in terms), Fraction(0)), tail, terms,
+                        count)
+    payload = {**density_report_dict(est), "run": run}
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_FLAT_LISTS = st.lists(st.text(), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries({k: _SCALARS for k in keys}), min_size=1,
+                          max_size=4))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+                   | st.lists(st.text(), max_size=4) | _FLAT_LISTS
+                   | st.dictionaries(st.text() | st.integers() | st.floats() | st.booleans(), inner,
+                                     max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), _VALUES, max_size=5))
+@example({"terms": [{"n": 1, "%d": "x"}, {"n": 2, "%d": None}], "e": [], "o": {}, "f": [1.5, -0.0]})
+@example({"mixed": [{"a": 1}, {"b": 1}], "nested": [{"a": [1]}, {"a": [2]}], "nan": float("nan")})
+def test_write_json_writes_any_json_value_as_the_encoder_does(payload):
+    assert _written(payload) == json.dumps(payload, indent=2) + "\n"

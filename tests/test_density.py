@@ -13,7 +13,7 @@ from qfibcong.errors import DomainError
 from qfibcong.modarith import euler_phi, is_squarefree, kronecker, primes_upto
 from qfibcong.report import check_report
 
-from _oracles import moebius
+from _oracles import delta_sequential, moebius
 
 SQUAREFREE = [g for g in range(2, 60) if is_squarefree(g)]
 
@@ -219,6 +219,26 @@ def test_delta_truncated_checks_the_base_once(monkeypatch):
         with pytest.raises(DomainError):
             delta_truncated(12, 1, 5, 11, 200)
     assert calls == [12, 12]
+
+
+def test_delta_truncated_matches_the_sequential_oracle_on_a_grid():
+    # t and d share primes with each other and with n, so every case of the degree's
+    # phi(lcm(d, n)*t) from the factorization of d*t and the sieved phi(n) is reached;
+    # a progression that is not coprime is refused
+    for g in (2, 3, 5, 6, 7, 13, 21):
+        for t in (1, 2, 3, 4, 11, 12):
+            for d in (1, 2, 4, 5, 10, 12):
+                for a in (-1, 0, 1, 2, 4):
+                    if math.gcd(1 + t * a, d * t) != 1:
+                        with pytest.raises(DomainError, match="coprime"):
+                            delta_truncated(g, a, d, t, 30)
+                        continue
+                    for n_max in (1, 30, 200):
+                        est = delta_truncated(g, a, d, t, n_max)
+                        terms, partial, tail = delta_sequential(g, a, d, t, n_max)
+                        assert [(x.n, x.moebius, x.c_g, x.degree, x.value)
+                                for x in est.terms] == terms, (g, a, d, t, n_max)
+                        assert (est.partial_sum, est.tail_bound) == (partial, tail)
 
 
 def test_delta_truncated_positive_certificate():
